@@ -72,21 +72,45 @@ let code_bytes t =
   let bundles = (op_count t + 2) / 3 in
   bundles * 16
 
+(* Register ids are unique per class, so liveness is tracked in one bool
+   array per class, indexed by id relative to the smallest id used. *)
 let live_in_regs t =
-  let module RS = Set.Make (struct
-    type t = Op.reg
-    let compare = compare
-  end) in
-  let defined = ref RS.empty in
-  let live_in = ref RS.empty in
+  let lo = ref max_int and hi = ref min_int in
   Array.iter
     (fun op ->
       List.iter
-        (fun r -> if not (RS.mem r !defined) then live_in := RS.add r !live_in)
-        (Op.uses op);
-      List.iter (fun r -> defined := RS.add r !defined) (Op.defs op))
+        (fun (r : Op.reg) ->
+          if r.Op.id < !lo then lo := r.Op.id;
+          if r.Op.id > !hi then hi := r.Op.id)
+        (Op.uses op))
     t.body;
-  RS.elements !live_in
+  if !lo > !hi then []
+  else begin
+    let lo = !lo and size = !hi - !lo + 1 in
+    let defined = [| Array.make size false; Array.make size false |] in
+    let live_in = [| Array.make size false; Array.make size false |] in
+    let cls_index = function Op.Int -> 0 | Op.Flt -> 1 in
+    Array.iter
+      (fun op ->
+        List.iter
+          (fun (r : Op.reg) ->
+            let c = cls_index r.Op.cls and k = r.Op.id - lo in
+            if not defined.(c).(k) then live_in.(c).(k) <- true)
+          (Op.uses op);
+        List.iter
+          (fun (r : Op.reg) ->
+            let k = r.Op.id - lo in
+            if k >= 0 && k < size then defined.(cls_index r.Op.cls).(k) <- true)
+          (Op.defs op))
+      t.body;
+    (* Ascending id, Int before Flt: the order of [compare] on [Op.reg]. *)
+    let acc = ref [] in
+    for k = size - 1 downto 0 do
+      if live_in.(1).(k) then acc := { Op.id = k + lo; cls = Op.Flt } :: !acc;
+      if live_in.(0).(k) then acc := { Op.id = k + lo; cls = Op.Int } :: !acc
+    done;
+    !acc
+  end
 
 let max_reg_id t =
   Array.fold_left

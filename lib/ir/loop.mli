@@ -70,7 +70,9 @@ val code_bytes : t -> int
 
 val live_in_regs : t -> Op.reg list
 (** Registers read before any def in body order (loop invariants and
-    loop-carried values entering the first iteration). *)
+    loop-carried values entering the first iteration), each once, in
+    ascending id with [Int] before [Flt] for equal ids (the order of
+    [compare] on {!Op.reg}).  Linear in the body size plus the id range. *)
 
 val max_reg_id : t -> int
 (** Largest virtual register id used, across both classes — the renaming

@@ -107,8 +107,17 @@ let heights (g : Deps.csr) ii =
   done;
   h
 
-(* Rotating-register requirement at a given schedule. *)
-let register_requirement (loop : Loop.t) edges assignment ii =
+(* Per-class register counts: (Int, Flt). *)
+let count_classes regs =
+  List.fold_left
+    (fun (i, f) (r : Op.reg) ->
+      match r.Op.cls with Op.Int -> (i + 1, f) | Op.Flt -> (i, f + 1))
+    (0, 0) regs
+
+(* Rotating-register requirement at a given schedule; [live_ins] is the
+   per-class count of loop invariants, each of which holds a register for
+   the whole loop. *)
+let register_requirement (loop : Loop.t) edges assignment ii ~live_ins =
   let body = loop.Loop.body in
   let n = Array.length body in
   let lifetime = Array.make n 0 in
@@ -119,7 +128,7 @@ let register_requirement (loop : Loop.t) edges assignment ii =
         lifetime.(e.Deps.src) <- max lifetime.(e.Deps.src) span
       end)
     edges;
-  let int_req = ref 0 and fp_req = ref 0 in
+  let int_req = ref (fst live_ins) and fp_req = ref (snd live_ins) in
   for v = 0 to n - 1 do
     match body.(v).Op.dst with
     | Some { Op.cls; _ } ->
@@ -130,14 +139,19 @@ let register_requirement (loop : Loop.t) edges assignment ii =
       | Op.Flt -> fp_req := !fp_req + copies)
     | None -> ()
   done;
-  (* Loop invariants each hold a register for the whole loop. *)
-  List.iter
-    (fun (r : Op.reg) ->
-      match r.Op.cls with
-      | Op.Int -> incr int_req
-      | Op.Flt -> incr fp_req)
-    (Loop.live_in_regs loop);
   (!int_req, !fp_req)
+
+(* The least [register_requirement] can return at any II and placement:
+   every def holds ceil(max(lifetime,1)/II) >= 1 registers and every
+   live-in one, so defs + live-ins per class. *)
+let register_floor (loop : Loop.t) ~live_ins =
+  Array.fold_left
+    (fun (i, f) (op : Op.t) ->
+      match op.Op.dst with
+      | Some { Op.cls = Op.Int; _ } -> (i + 1, f)
+      | Some { Op.cls = Op.Flt; _ } -> (i, f + 1)
+      | None -> (i, f))
+    live_ins loop.Loop.body
 
 let try_ii machine (loop : Loop.t) edges (g : Deps.csr) ii =
   let body = loop.Loop.body in
@@ -247,42 +261,67 @@ let try_ii machine (loop : Loop.t) edges (g : Deps.csr) ii =
   done;
   if !failed then None else Some time
 
+(* Outcome counters, shown by [dataset --telemetry]. *)
+let count name = Telemetry.incr Telemetry.global ~pass:"modulo" name 1
+
+let over_rotating machine (int_req, fp_req) =
+  int_req > machine.Machine.rot_int_regs || fp_req > machine.Machine.rot_fp_regs
+
 let schedule ?(max_ii = 128) ?memo machine (loop : Loop.t) =
-  if Loop.has_call loop || Loop.has_early_exit loop then None
+  if Loop.has_call loop || Loop.has_early_exit loop then begin
+    count "not-pipelinable";
+    None
+  end
   else begin
-    (* One shared dependence analysis feeds RecMII, placement heights and
-       the placement loop itself. *)
-    let entry = Deps_memo.get ?memo machine loop in
-    let g = entry.Deps_memo.csr in
-    let edges = usable_edges entry.Deps_memo.deps in
-    let mii = max (res_mii machine loop) (rec_mii_of g) in
-    let rec attempt ii =
-      if ii > max_ii then None
-      else
-        match try_ii machine loop edges g ii with
-        | None -> attempt (ii + 1)
-        | Some time ->
-          let int_req, fp_req = register_requirement loop edges time ii in
-          if
-            int_req > machine.Machine.rot_int_regs
-            || fp_req > machine.Machine.rot_fp_regs
-          then attempt (ii + 1)
-          else begin
-            let span = Array.fold_left (fun acc t -> max acc (t + 1)) 1 time in
-            let stages = ((span + ii - 1) / ii) in
-            Some
-              {
-                Schedule.loop;
-                machine;
-                assignment = time;
-                length = span;
-                kind = Schedule.Pipelined { ii; stages };
-                spills = 0;
-                int_pressure = int_req;
-                fp_pressure = fp_req;
-                csr = g;
-              }
-          end
-    in
-    attempt mii
+    let live_ins = count_classes (Loop.live_in_regs loop) in
+    if over_rotating machine (register_floor loop ~live_ins) then begin
+      (* No II can pass the register check below (DESIGN.md §7), so reject
+         before any dependence analysis. *)
+      count "floor-rejects";
+      None
+    end
+    else begin
+      (* One shared dependence analysis feeds RecMII, placement heights and
+         the placement loop itself. *)
+      let entry = Deps_memo.get ?memo machine loop in
+      let g = entry.Deps_memo.csr in
+      let edges = usable_edges entry.Deps_memo.deps in
+      let mii = max (res_mii machine loop) (rec_mii_of g) in
+      let rec attempt ii =
+        if ii > max_ii then begin
+          count "exhausted";
+          None
+        end
+        else
+          match try_ii machine loop edges g ii with
+          | None ->
+            count "ii-bumps-placement";
+            attempt (ii + 1)
+          | Some time ->
+            let ((int_req, fp_req) as req) =
+              register_requirement loop edges time ii ~live_ins
+            in
+            if over_rotating machine req then begin
+              count "ii-bumps-registers";
+              attempt (ii + 1)
+            end
+            else begin
+              let span = Array.fold_left (fun acc t -> max acc (t + 1)) 1 time in
+              let stages = ((span + ii - 1) / ii) in
+              Some
+                {
+                  Schedule.loop;
+                  machine;
+                  assignment = time;
+                  length = span;
+                  kind = Schedule.Pipelined { ii; stages };
+                  spills = 0;
+                  int_pressure = int_req;
+                  fp_pressure = fp_req;
+                  csr = g;
+                }
+            end
+      in
+      attempt mii
+    end
   end

@@ -1,8 +1,9 @@
-(* Id-indexed liveness tables.  Every register producer (Builder,
-   Loop_text, the spill rewriter below) draws ids from a single counter,
-   so an id identifies a register including its class; dense arrays
-   indexed by id replace the Op.reg-keyed hashtables that dominated
-   compile time in the respill loop. *)
+(* Id-indexed liveness tables.  Ids are unique within a loop per class
+   (Op.reg), but every register producer (Builder, Loop_text, the spill
+   rewriter below) draws ids from a single counter, so in the loops these
+   tables see an id also names one class; dense arrays indexed by id
+   replace the Op.reg-keyed hashtables that dominated compile time in the
+   respill loop. *)
 type liveness = {
   seen : bool array;              (* register occurs in the intervals *)
   lcls : Op.reg_class array;      (* class, meaningful where seen *)

@@ -302,6 +302,69 @@ let prop_synth_deps_acyclic =
     (QCheck.make synth_loop_gen)
     (fun l -> not (Deps.has_cycle_at_distance_zero (Deps.build ~latency l)))
 
+(* --- live_in_regs against the Set-based implementation it replaced --- *)
+
+let reference_live_in_regs (t : Loop.t) =
+  let module RS = Set.Make (struct
+    type t = Op.reg
+    let compare = compare
+  end) in
+  let defined = ref RS.empty in
+  let live_in = ref RS.empty in
+  Array.iter
+    (fun op ->
+      List.iter
+        (fun r -> if not (RS.mem r !defined) then live_in := RS.add r !live_in)
+        (Op.uses op);
+      List.iter (fun r -> defined := RS.add r !defined) (Op.defs op))
+    t.Loop.body;
+  RS.elements !live_in
+
+let reg_list = Alcotest.(list (pair int bool))
+let reg_pairs = List.map (fun (r : Op.reg) -> (r.Op.id, r.Op.cls = Op.Flt))
+
+let test_live_in_shared_id () =
+  (* r0 and f0 share id 0 (ids are unique per class): r0 is defined before
+     its use, f0 is not; f2 and r2 are both read before any def. *)
+  let r i = { Op.id = i; cls = Op.Int } and f i = { Op.id = i; cls = Op.Flt } in
+  let body =
+    [|
+      Op.make ~uid:0 ~dst:(r 0) ~srcs:[ r 2 ] Op.Ialu;
+      Op.make ~uid:1 ~dst:(f 1) ~srcs:[ f 0; f 2; r 0 ] Op.Fadd;
+      Op.make ~uid:2 ~dst:(f 0) ~srcs:[ f 1 ] Op.Fmul;
+      Op.make ~uid:3 ~dst:(r 2) ~srcs:[ r 2; f 2 ] Op.Ialu;
+      Op.make ~uid:4 (Op.Br Op.Backedge);
+    |]
+  in
+  let l = { (daxpy ()) with Loop.body } in
+  Alcotest.check reg_list "reference order" [ (0, true); (2, false); (2, true) ]
+    (reg_pairs (reference_live_in_regs l));
+  Alcotest.check reg_list "same as reference" (reg_pairs (reference_live_in_regs l))
+    (reg_pairs (Loop.live_in_regs l))
+
+let fuzz_case_gen =
+  QCheck.Gen.(
+    let* seed = 0 -- 1000 in
+    let* id = 0 -- 10000 in
+    return (Fuzz.Gen.case ~seed ~id ()))
+
+(* Fuzz loops as generated, unrolled, and rewritten by the spill loop on a
+   register-starved machine (fresh reload ids, a $spill array). *)
+let prop_live_in_matches_reference =
+  QCheck.Test.make ~count:150 ~name:"live_in_regs = Set-based reference, order included"
+    (QCheck.make fuzz_case_gen)
+    (fun c ->
+      let loop = c.Fuzz.Gen.loop in
+      let factor = if Loop.unrollable loop then c.Fuzz.Gen.factor else 1 in
+      let unrolled = (Unroll.run loop factor).Unroll.kernel in
+      let tiny = { c.Fuzz.Gen.machine with Machine.int_regs = 6; fp_regs = 4 } in
+      let spilled =
+        (Regalloc.allocate ~sched:(List_sched.schedule tiny) unrolled).Schedule.loop
+      in
+      List.for_all
+        (fun l -> Loop.live_in_regs l = reference_live_in_regs l)
+        [ loop; unrolled; spilled ])
+
 let suite =
   [
     ("op classifiers", `Quick, test_op_classifiers);
@@ -310,6 +373,7 @@ let suite =
     ("loop counts daxpy", `Quick, test_loop_counts_daxpy);
     ("loop flags", `Quick, test_loop_flags);
     ("loop live-in", `Quick, test_loop_live_in);
+    ("loop live-in shared id", `Quick, test_live_in_shared_id);
     ("loop code bytes", `Quick, test_loop_code_bytes);
     ("backedge index", `Quick, test_backedge_index);
     ("indirect count", `Quick, test_indirect_count);
@@ -331,4 +395,5 @@ let suite =
     ("pretty renders", `Quick, test_pretty_renders);
     QCheck_alcotest.to_alcotest prop_synth_valid;
     QCheck_alcotest.to_alcotest prop_synth_deps_acyclic;
+    QCheck_alcotest.to_alcotest prop_live_in_matches_reference;
   ]

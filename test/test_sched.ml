@@ -230,6 +230,74 @@ let prop_modulo_ii_at_least_mii =
           ii >= Modulo_sched.res_mii machine l && ii >= Modulo_sched.rec_mii machine l
         | Schedule.Straight -> false))
 
+(* --- The rotating-register floor --- *)
+
+(* Per-class #defs + #live-ins, computed here independently of the
+   scheduler: the least rotating-register requirement at any II. *)
+let register_floor (loop : Loop.t) =
+  let by_cls cls regs = List.length (List.filter (fun (r : Op.reg) -> r.Op.cls = cls) regs) in
+  let defs = List.concat_map Op.defs (Array.to_list loop.Loop.body) in
+  let live = Loop.live_in_regs loop in
+  (by_cls Op.Int defs + by_cls Op.Int live, by_cls Op.Flt defs + by_cls Op.Flt live)
+
+let over_floor (m : Machine.t) loop =
+  let fi, ff = register_floor loop in
+  fi > m.Machine.rot_int_regs || ff > m.Machine.rot_fp_regs
+
+(* Fuzz loops and unrolled synthetic kernels, unrolled by the drawn
+   factor where the unroller accepts the loop. *)
+let floor_loop_gen =
+  QCheck.Gen.(
+    let* from_fuzz = bool in
+    if from_fuzz then
+      let* seed = 0 -- 1000 in
+      let* id = 0 -- 10000 in
+      let c = Fuzz.Gen.case ~seed ~id () in
+      let l = c.Fuzz.Gen.loop in
+      let f = if Loop.unrollable l then c.Fuzz.Gen.factor else 1 in
+      return (Unroll.run l f).Unroll.kernel
+    else
+      let* l, f = synth_gen in
+      return (Unroll.run l f).Unroll.kernel)
+
+(* With the rotating files raised out of reach, the search stops at the
+   first II that places.  Its pressure is at least the floor; and when it
+   also fits the real machine, the real search reaches that same II (the
+   placement does not depend on the register files), so the floor must
+   not have rejected the loop. *)
+let prop_floor_is_lower_bound =
+  QCheck.Test.make ~count:40 ~name:"rotating-register floor bounds every modulo schedule"
+    (QCheck.make floor_loop_gen)
+    (fun l ->
+      let fi, ff = register_floor l in
+      Array.for_all
+        (fun (m : Machine.t) ->
+          let roomy = { m with Machine.rot_int_regs = 1 lsl 20; rot_fp_regs = 1 lsl 20 } in
+          match Modulo_sched.schedule roomy l with
+          | None -> true
+          | Some s ->
+            let ip = s.Schedule.int_pressure and fp = s.Schedule.fp_pressure in
+            ip >= fi && fp >= ff
+            && (ip > m.Machine.rot_int_regs || fp > m.Machine.rot_fp_regs
+               || Option.map Schedule.ii (Modulo_sched.schedule m l) = Some (Schedule.ii s)))
+        Fuzz.Gen.machines)
+
+let prop_over_floor_rejected =
+  QCheck.Test.make ~count:80 ~name:"loops over the register floor are not pipelined"
+    (QCheck.make floor_loop_gen)
+    (fun l ->
+      Array.for_all
+        (fun m -> (not (over_floor m l)) || Modulo_sched.schedule m l = None)
+        Fuzz.Gen.machines)
+
+let test_floor_rejects_counter () =
+  let u = (Unroll.run (Kernels.fir8 ~name:"m_floor" ~trip:64) 8).Unroll.kernel in
+  Alcotest.(check bool) "fir8 x8 is over the floor" true (over_floor machine u);
+  let rejects () = Telemetry.counter Telemetry.global ~pass:"modulo" "floor-rejects" in
+  let before = rejects () in
+  Alcotest.(check bool) "not pipelined" true (Modulo_sched.schedule machine u = None);
+  Alcotest.(check int) "floor-rejects bumped" (before + 1) (rejects ())
+
 let suite =
   [
     ("list sched validates", `Quick, test_list_sched_validates);
@@ -245,6 +313,7 @@ let suite =
     ("modulo refuses calls/exits", `Quick, test_modulo_refuses_calls_exits);
     ("modulo beats straight", `Quick, test_modulo_beats_straight_ddot);
     ("modulo pressure backoff", `Quick, test_modulo_register_pressure_backoff);
+    ("modulo floor-rejects counter", `Quick, test_floor_rejects_counter);
     ("regalloc pressure", `Quick, test_pressure_positive);
     ("regalloc limits or spills", `Quick, test_allocate_within_limits_or_spills);
     ("regalloc spill code", `Quick, test_spill_code_inserted);
@@ -252,4 +321,6 @@ let suite =
     QCheck_alcotest.to_alcotest prop_list_schedule_valid;
     QCheck_alcotest.to_alcotest prop_modulo_schedule_valid;
     QCheck_alcotest.to_alcotest prop_modulo_ii_at_least_mii;
+    QCheck_alcotest.to_alcotest prop_floor_is_lower_bound;
+    QCheck_alcotest.to_alcotest prop_over_floor_rejected;
   ]

@@ -10,8 +10,8 @@
    stats) for every executable and the run aborts the speedup claim unless
    they are bit-identical.
 
-   Also times Deps.build against warm memoised-CSR lookups, and writes a
-   one-line JSON summary to stdout and BENCH_sim.json (a CI artifact next
+   Also times Deps.build plus its CSR view over the suite's loops, and
+   writes a one-line JSON summary to stdout and BENCH_sim.json (a CI artifact next
    to BENCH_ml.json). *)
 
 let machine = Config.fast.Config.machine
@@ -103,30 +103,19 @@ let () =
   Printf.printf "labeling sim sweep (best of %d): naive %.3fs | fast %.3fs (%.2fx)\n%!" reps
     !t_naive !t_fast speedup;
 
-  (* Dependence graphs: fresh builds vs warm memoised CSR lookups. *)
+  (* Dependence graphs: Deps.build plus its CSR view, best of 5. *)
   let lat = Machine.latency machine in
-  let time_best f =
+  let t_build =
     let best = ref infinity in
     for _ = 1 to 5 do
       let a = Unix.gettimeofday () in
-      f ();
+      List.iter (fun l -> ignore (Deps.to_csr (Deps.build ~latency:lat l))) loops;
       let d = Unix.gettimeofday () -. a in
       if d < !best then best := d
     done;
     !best
   in
-  let t_build =
-    time_best (fun () ->
-        List.iter (fun l -> ignore (Deps.to_csr (Deps.build ~latency:lat l))) loops)
-  in
-  let memo = Deps_memo.create () in
-  List.iter (fun l -> ignore (Deps_memo.get ~memo machine l)) loops;
-  let t_memo =
-    time_best (fun () -> List.iter (fun l -> ignore (Deps_memo.get ~memo machine l)) loops)
-  in
-  let deps_speedup = t_build /. Float.max t_memo 1e-9 in
-  Printf.printf "deps: build+csr %.4fs | memoised %.4fs (%.1fx) over %d loops\n%!" t_build
-    t_memo deps_speedup (List.length loops);
+  Printf.printf "deps: build+csr %.4fs over %d loops\n%!" t_build (List.length loops);
 
   let json =
     Printf.sprintf
@@ -135,9 +124,9 @@ let () =
        \"fast_s\":%.3f,\"speedup\":%.2f,\"identical\":%b,\
        \"iters_simulated\":%d,\"iters_fast_forwarded\":%d,\
        \"entries_simulated\":%d,\"entries_skipped\":%d,\
-       \"deps_build_s\":%.4f,\"deps_memo_s\":%.4f,\"deps_speedup\":%.1f}"
+       \"deps_build_s\":%.4f}"
       (List.length loops) (List.length exes) max_sim_iters t_compile !t_naive !t_fast speedup
-      identical iters_sim iters_ff entries_sim entries_skipped t_build t_memo deps_speedup
+      identical iters_sim iters_ff entries_sim entries_skipped t_build
   in
   print_endline json;
   let oc = open_out "BENCH_sim.json" in

@@ -21,13 +21,12 @@ let mem_flow_latency = 2
 let mem_anti_latency = 0
 let mem_output_latency = 1
 
-module RegMap = Map.Make (struct
-  type t = Op.reg
-  let compare = compare
-end)
+let cls_code = function Op.Int -> 0 | Op.Flt -> 1
 
-let dedupe_regs regs =
-  List.sort_uniq compare regs
+(* The order of polymorphic [compare] on [Op.reg]: id, then Int before Flt. *)
+let compare_reg (a : Op.reg) (b : Op.reg) =
+  let c = Int.compare a.Op.id b.Op.id in
+  if c <> 0 then c else Int.compare (cls_code a.Op.cls) (cls_code b.Op.cls)
 
 (* Per-op register reads, folding the guard predicate in as a read of the
    integer register that the defining Cmp wrote. *)
@@ -37,61 +36,98 @@ let reads_of op =
     | Some p -> [ { Op.id = p; cls = Op.Int } ]
     | None -> []
   in
-  dedupe_regs (Op.uses op @ pred_reads)
+  List.sort_uniq compare_reg (Op.uses op @ pred_reads)
 
-let register_edges body =
+(* Register dependences from a dense def table.  A register's slot is
+   [(id - lo) * 2 + class], which orders slots exactly as [compare_reg]
+   orders registers; a counting sort lays out each slot's def positions in
+   ascending body order, and binary search finds the reaching and the next
+   def of a use.  The edge order is part of [build]'s contract
+   (deps.mli): CSR edge indices follow it. *)
+let register_edges ~latency body =
   let n = Array.length body in
-  let defs_of = ref RegMap.empty in
-  for i = 0 to n - 1 do
-    List.iter
-      (fun r ->
-        let cur = Option.value (RegMap.find_opt r !defs_of) ~default:[] in
-        defs_of := RegMap.add r (i :: cur) !defs_of)
-      (Op.defs body.(i))
-  done;
-  let defs_of = RegMap.map List.rev !defs_of in
-  let edges = ref [] in
-  let add src dst dkind latency distance =
-    if not (src = dst && distance = 0) then
-      edges := { src; dst; dkind; latency; distance } :: !edges
-  in
-  let last_def defs = List.nth defs (List.length defs - 1) in
-  (* Flow and anti dependences, per use. *)
-  for u = 0 to n - 1 do
-    List.iter
-      (fun r ->
-        match RegMap.find_opt r defs_of with
-        | None -> () (* pure live-in *)
-        | Some defs ->
-          (* Reaching def: nearest def strictly before [u], else the last def
-             of the previous iteration. *)
-          let before = List.filter (fun d -> d < u) defs in
-          (match List.rev before with
-          | d :: _ -> add d u Reg_flow 0 0 (* latency patched by caller *)
-          | [] -> add (last_def defs) u Reg_flow 0 1);
-          (* Anti: the next def after [u] must wait, else the first def of
-             the next iteration. *)
-          let after = List.filter (fun d -> d > u) defs in
-          (match after with
-          | d :: _ -> add u d Reg_anti 0 0
-          | [] -> add u (List.hd defs) Reg_anti 0 1))
-      (reads_of body.(u))
-  done;
-  (* Output dependences between successive defs of the same register. *)
-  RegMap.iter
-    (fun _r defs ->
-      let rec chain = function
-        | d1 :: (d2 :: _ as rest) ->
-          add d1 d2 Reg_output 1 0;
-          chain rest
-        | [ _ ] | [] -> ()
-      in
-      chain defs;
-      match defs with
-      | d1 :: _ :: _ -> add (last_def defs) d1 Reg_output 1 1
-      | _ -> ())
-    defs_of;
-  !edges
+  let lo = ref max_int and hi = ref min_int in
+  Array.iter
+    (fun op ->
+      match op.Op.dst with
+      | Some r ->
+        if r.Op.id < !lo then lo := r.Op.id;
+        if r.Op.id > !hi then hi := r.Op.id
+      | None -> ())
+    body;
+  if !lo > !hi then []
+  else begin
+    let lo = !lo and span = !hi - !lo + 1 in
+    let slots = span * 2 in
+    let slot (r : Op.reg) = ((r.Op.id - lo) * 2) + cls_code r.Op.cls in
+    (* [first.(s)] .. [first.(s+1) - 1] index slot [s]'s defs in [pos]. *)
+    let first = Array.make (slots + 1) 0 in
+    Array.iter
+      (fun op ->
+        match op.Op.dst with
+        | Some r -> first.(slot r + 1) <- first.(slot r + 1) + 1
+        | None -> ())
+      body;
+    for s = 1 to slots do
+      first.(s) <- first.(s) + first.(s - 1)
+    done;
+    let pos = Array.make first.(slots) 0 in
+    let cursor = Array.sub first 0 slots in
+    Array.iteri
+      (fun i op ->
+        match op.Op.dst with
+        | Some r ->
+          let s = slot r in
+          pos.(cursor.(s)) <- i;
+          cursor.(s) <- cursor.(s) + 1
+        | None -> ())
+      body;
+    (* First index in [a, b) whose def position exceeds [u] ([b] if none). *)
+    let rec above u a b =
+      if a >= b then a
+      else
+        let mid = (a + b) / 2 in
+        if pos.(mid) > u then above u a mid else above u (mid + 1) b
+    in
+    let edges = ref [] in
+    let add src dst dkind latency distance =
+      if not (src = dst && distance = 0) then
+        edges := { src; dst; dkind; latency; distance } :: !edges
+    in
+    (* Flow and anti dependences, per use. *)
+    for u = 0 to n - 1 do
+      List.iter
+        (fun (r : Op.reg) ->
+          let k = r.Op.id - lo in
+          if k >= 0 && k < span then begin
+            let s = slot r in
+            let a = first.(s) and b = first.(s + 1) in
+            if a < b then begin
+              (* Reaching def: nearest def strictly before [u], else the last
+                 def of the previous iteration. *)
+              let j = above (u - 1) a b in
+              let d, dist = if j > a then (pos.(j - 1), 0) else (pos.(b - 1), 1) in
+              add d u Reg_flow (latency body.(d)) dist;
+              (* Anti: the next def after [u] must wait, else the first def
+                 of the next iteration. *)
+              let j = above u j b in
+              if j < b then add u pos.(j) Reg_anti 0 0 else add u pos.(a) Reg_anti 0 1
+            end
+          end)
+        (reads_of body.(u))
+    done;
+    (* Output dependences between successive defs of the same register. *)
+    for s = 0 to slots - 1 do
+      let a = first.(s) and b = first.(s + 1) in
+      if b - a >= 2 then begin
+        for j = a to b - 2 do
+          add pos.(j) pos.(j + 1) Reg_output 1 0
+        done;
+        add pos.(b - 1) pos.(a) Reg_output 1 1
+      end
+    done;
+    !edges
+  end
 
 (* Memory disambiguation for one ordered pair of references.  Returns the
    dependence direction and distance, or [None] when they provably never
@@ -208,14 +244,8 @@ let serial_edges body =
 let build ~latency (loop : Loop.t) =
   let body = loop.Loop.body in
   let n = Array.length body in
-  let reg_edges =
-    List.map
-      (fun e ->
-        if e.dkind = Reg_flow then { e with latency = latency body.(e.src) } else e)
-      (register_edges body)
-  in
   let edges =
-    reg_edges
+    register_edges ~latency body
     @ memory_edges ~aliased:loop.Loop.aliased body
     @ control_edges body
     @ serial_edges body

@@ -40,7 +40,17 @@ type t = {
 
 val build : latency:(Op.t -> int) -> Loop.t -> t
 (** Builds the dependence graph.  [latency] maps an op to its result
-    latency on the target machine (so the IR stays machine-independent). *)
+    latency on the target machine (so the IR stays machine-independent).
+
+    The order of [edges] is part of the contract: CSR edge indices follow
+    it, and the modulo scheduler, the simulator's plans and {!Dag} read
+    them.  Register edges lead the list, in the reverse of the order they
+    are found: per op in body order and per register it reads
+    (deduplicated, guard predicate included, in [compare] order on
+    {!Op.reg}), the flow edge from its reaching def then the anti edge to
+    the next def; then, per defined register in [compare] order, the
+    output chain between successive defs and the wrap from the last def to
+    the first.  Memory, control and serial edges follow, in that order. *)
 
 type csr = {
   csr_n : int;            (** number of ops *)

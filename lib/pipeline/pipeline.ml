@@ -19,12 +19,11 @@ let kernel_sched_exn (st : Pipeline_state.state) =
    the same function. *)
 let sched_fn (st : Pipeline_state.state) =
   let machine = st.Pipeline_state.machine in
-  let memo = st.Pipeline_state.deps_memo in
   if st.Pipeline_state.swp then fun l ->
-    (match Modulo_sched.schedule ~memo machine l with
+    (match Modulo_sched.schedule machine l with
     | Some s -> s
-    | None -> List_sched.schedule ~memo machine l)
-  else List_sched.schedule ~memo machine
+    | None -> List_sched.schedule machine l)
+  else List_sched.schedule machine
 
 let unroll_pass =
   {

@@ -20,13 +20,13 @@ type state = {
   exe : executable option;
 }
 
-let init ?(deps_memo = Deps_memo.global) machine ~swp source factor =
+let init machine ~swp source factor =
   {
     machine;
     swp;
     factor;
     source;
-    deps_memo;
+    deps_memo = Deps_memo.global;
     unrolled = None;
     kernel_sched = None;
     remainder_sched = None;

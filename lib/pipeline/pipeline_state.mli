@@ -27,16 +27,15 @@ type state = {
   swp : bool;
   factor : int;
   source : Loop.t;
-  deps_memo : Deps_memo.t;           (** dependence graphs shared by every pass *)
+  deps_memo : Deps_memo.t;           (** always {!Deps_memo.global}; retains nothing *)
   unrolled : Unroll.t option;        (** after the unroll (and rle) passes *)
   kernel_sched : Schedule.t option;  (** after scheduling / allocation *)
   remainder_sched : Schedule.t option;
   exe : executable option;           (** after assembly *)
 }
 
-val init : ?deps_memo:Deps_memo.t -> Machine.t -> swp:bool -> Loop.t -> int -> state
-(** A fresh state with only the inputs filled in; dependence graphs are
-    memoised in [deps_memo] (default {!Deps_memo.global}). *)
+val init : Machine.t -> swp:bool -> Loop.t -> int -> state
+(** A fresh state with only the inputs filled in. *)
 
 val executable_exn : state -> executable
 (** The assembled executable; raises [Invalid_argument] if the assemble

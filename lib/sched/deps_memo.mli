@@ -1,33 +1,26 @@
-(** Memoised dependence graphs shared across the whole pipeline.
+(** Dependence graphs for the schedulers, the simulator and feature
+    extraction: {!Deps.build} under the machine's latency model, plus its
+    CSR view.
 
-    One [Deps.build] per distinct (loop content, machine) instead of six:
-    the schedule pass, the allocator's respill rounds, the modulo
-    scheduler's RecMII and placement phases, the simulator's operand
-    resolution and feature extraction all pull the same entry.  Keyed like
-    {!Compile_cache}: a digest of the marshalled loop with its name blanked
-    plus the machine (which determines the latency model).  Thread-safe and
-    bounded (oldest-first eviction). *)
+    Nothing is retained; every call builds a fresh graph.  [t], {!global},
+    {!clear} and the [?memo] arguments that name them are the remains of a
+    graph store that was removed because it cost more than it saved
+    (DESIGN.md §9); they are kept only because the benchmark harness still
+    calls them, and do nothing. *)
 
 type entry = { deps : Deps.t; csr : Deps.csr }
 
 type t
 
-val create : ?capacity:int -> ?telemetry:Telemetry.t -> unit -> t
 val global : t
 
-val enabled : bool ref
-(** When set to [false], {!get} builds fresh graphs without touching the
-    store or telemetry — the benchmark baseline. Default [true]. *)
-
 val get : ?memo:t -> Machine.t -> Loop.t -> entry
-(** The dependence graph of the loop under the machine's latency model,
-    built on first request (default memo: {!global}).  Counts a hit or a
-    miss in telemetry under pass ["deps-memo"]. *)
+(** The dependence graph of the loop under the machine's latency model.
+    Counts one ["misses"] under pass ["deps-memo"] in
+    {!Telemetry.global} per graph built. *)
 
 val deps : ?memo:t -> Machine.t -> Loop.t -> Deps.t
 (** [(get ?memo machine loop).deps]. *)
 
-val hits : t -> int
-val misses : t -> int
-val hit_rate : t -> float
 val clear : t -> unit
+(** No-op. *)

@@ -1,23 +1,4 @@
-(* Per-cycle resource tracking shared conceptually with the modulo
-   scheduler's reservation table, but indexed by absolute cycle here. *)
-type restable = {
-  machine : Machine.t;
-  mutable per_cycle : int array array; (* cycle -> [m; i; f; b; total] *)
-}
-
 let kind_index = function Machine.M -> 0 | Machine.I -> 1 | Machine.F -> 2 | Machine.B -> 3
-
-let avail m = [| m.Machine.m_units; m.Machine.i_units; m.Machine.f_units; m.Machine.b_units |]
-
-let make_restable machine = { machine; per_cycle = Array.init 32 (fun _ -> Array.make 5 0) }
-
-let ensure rt cycle =
-  let n = Array.length rt.per_cycle in
-  if cycle >= n then begin
-    let bigger = Array.init (max (cycle + 1) (2 * n)) (fun _ -> Array.make 5 0) in
-    Array.blit rt.per_cycle 0 bigger 0 n;
-    rt.per_cycle <- bigger
-  end
 
 (* Cycles an op occupies its unit: unpipelined divides block the unit. *)
 let occupancy m (op : Op.t) =
@@ -25,30 +6,51 @@ let occupancy m (op : Op.t) =
   | Op.Fdiv when m.Machine.fdiv_unpipelined -> m.Machine.lat_fdiv
   | _ -> 1
 
-let fits rt op cycle =
-  let m = rt.machine in
-  let k = kind_index (Machine.unit_of op) in
-  let occ = occupancy m op in
-  let ok = ref true in
-  for c = cycle to cycle + occ - 1 do
-    ensure rt c;
-    let row = rt.per_cycle.(c) in
-    if row.(k) >= (avail m).(k) then ok := false;
-    (* Only the issue cycle consumes issue width. *)
-    if c = cycle && row.(4) >= m.Machine.issue_width then ok := false
-  done;
-  !ok
+(* Per-cycle resource use, indexed by absolute cycle: one flat int array
+   with [width] counters per cycle, the four unit kinds then the issue
+   total. *)
+let width = 5
+let issue = 4
 
-let reserve rt op cycle =
-  let m = rt.machine in
-  let k = kind_index (Machine.unit_of op) in
-  let occ = occupancy m op in
-  for c = cycle to cycle + occ - 1 do
-    ensure rt c;
-    let row = rt.per_cycle.(c) in
-    row.(k) <- row.(k) + 1;
-    if c = cycle then row.(4) <- row.(4) + 1
-  done
+(* Binary min-heap of body positions under [before], a strict total order,
+   so pops follow the order's minimum exactly. *)
+type heap = { items : int array; mutable size : int }
+
+let push h before v =
+  let a = h.items in
+  let rec up i =
+    if i > 0 then begin
+      let p = (i - 1) / 2 in
+      if before v a.(p) then begin
+        a.(i) <- a.(p);
+        up p
+      end
+      else a.(i) <- v
+    end
+    else a.(i) <- v
+  in
+  up h.size;
+  h.size <- h.size + 1
+
+let pop h before =
+  let a = h.items in
+  let top = a.(0) in
+  h.size <- h.size - 1;
+  let last = a.(h.size) in
+  let rec down i =
+    let l = (2 * i) + 1 in
+    if l >= h.size then a.(i) <- last
+    else begin
+      let c = if l + 1 < h.size && before a.(l + 1) a.(l) then l + 1 else l in
+      if before a.(c) last then begin
+        a.(i) <- a.(c);
+        down c
+      end
+      else a.(i) <- last
+    end
+  in
+  if h.size > 0 then down 0;
+  top
 
 let schedule ?memo machine (loop : Loop.t) =
   let body = loop.Loop.body in
@@ -95,31 +97,55 @@ let schedule ?memo machine (loop : Loop.t) =
   done;
   let assignment = Array.make n (-1) in
   let earliest = Array.make n 0 in
-  let rt = make_restable machine in
-  let module Ready = Set.Make (struct
-    type t = int * int * int (* -height, body position asc for determinism *)
-    let compare = compare
-  end) in
-  let ready = ref Ready.empty in
+  let avail =
+    Machine.[| machine.m_units; machine.i_units; machine.f_units; machine.b_units |]
+  in
+  let issue_width = machine.Machine.issue_width in
+  let res = ref (Array.make (32 * width) 0) in
+  let ensure cycle =
+    let len = Array.length !res in
+    if (cycle + 1) * width > len then begin
+      let bigger = Array.make (max ((cycle + 1) * width) (2 * len)) 0 in
+      Array.blit !res 0 bigger 0 len;
+      res := bigger
+    end
+  in
+  (* Only the issue cycle consumes issue width; the unit is held for the
+     op's whole occupancy. *)
+  let fits k occ cycle =
+    ensure (cycle + occ - 1);
+    let r = !res in
+    let rec unit_free c =
+      c >= cycle + occ || (r.((c * width) + k) < avail.(k) && unit_free (c + 1))
+    in
+    r.((cycle * width) + issue) < issue_width && unit_free cycle
+  in
+  let reserve k occ cycle =
+    let r = !res in
+    for c = cycle to cycle + occ - 1 do
+      r.((c * width) + k) <- r.((c * width) + k) + 1
+    done;
+    r.((cycle * width) + issue) <- r.((cycle * width) + issue) + 1
+  in
+  (* Greater height first, then lower body position. *)
+  let before a b = height.(a) > height.(b) || (height.(a) = height.(b) && a < b) in
+  let ready = { items = Array.make (max n 1) 0; size = 0 } in
   for v = 0 to n - 1 do
-    if unscheduled_preds.(v) = 0 then ready := Ready.add (-height.(v), v, 0) !ready
+    if unscheduled_preds.(v) = 0 then push ready before v
   done;
-  let scheduled = ref 0 in
-  while !scheduled < n do
-    (match Ready.min_elt_opt !ready with
-    | None -> failwith "List_sched: dependence cycle in distance-0 graph"
-    | Some ((_, v, _) as elt) ->
-      ready := Ready.remove elt !ready;
-      let cycle = ref earliest.(v) in
-      while not (fits rt body.(v) !cycle) do incr cycle done;
-      reserve rt body.(v) !cycle;
-      assignment.(v) <- !cycle;
-      incr scheduled;
-      iter_succs0 v (fun e ->
-          let d = g.Deps.e_dst.(e) in
-          earliest.(d) <- max earliest.(d) (!cycle + g.Deps.e_lat.(e));
-          unscheduled_preds.(d) <- unscheduled_preds.(d) - 1;
-          if unscheduled_preds.(d) = 0 then ready := Ready.add (-height.(d), d, 0) !ready))
+  for _ = 1 to n do
+    if ready.size = 0 then failwith "List_sched: dependence cycle in distance-0 graph";
+    let v = pop ready before in
+    let k = kind_index (Machine.unit_of body.(v)) and occ = occupancy machine body.(v) in
+    let cycle = ref earliest.(v) in
+    while not (fits k occ !cycle) do incr cycle done;
+    reserve k occ !cycle;
+    assignment.(v) <- !cycle;
+    iter_succs0 v (fun e ->
+        let d = g.Deps.e_dst.(e) in
+        earliest.(d) <- max earliest.(d) (!cycle + g.Deps.e_lat.(e));
+        unscheduled_preds.(d) <- unscheduled_preds.(d) - 1;
+        if unscheduled_preds.(d) = 0 then push ready before d)
   done;
   let length = Array.fold_left (fun acc c -> max acc (c + 1)) 1 assignment in
   {

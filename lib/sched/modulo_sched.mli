@@ -36,7 +36,7 @@ val schedule : ?max_ii:int -> ?memo:Deps_memo.t -> Machine.t -> Loop.t -> Schedu
     128).  Returns [None] for loops that cannot or should not be pipelined,
     including loops over the rotating-register floor, which are rejected
     without building the dependence graph.  Otherwise the graph is built
-    once per call via [memo] (default {!Deps_memo.global}) and shared by
+    once per call ({!Deps_memo.get}; [memo] is ignored) and shared by
     RecMII and placement.  Each call bumps one outcome counter of the
     ["modulo"] pass in {!Telemetry.global}: [not-pipelinable],
     [floor-rejects] or [exhausted] for a [None], plus one

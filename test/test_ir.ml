@@ -365,6 +365,179 @@ let prop_live_in_matches_reference =
         (fun l -> Loop.live_in_regs l = reference_live_in_regs l)
         [ loop; unrolled; spilled ])
 
+(* --- Deps.build against the map-based register analysis it replaced --- *)
+
+(* The register-edge code as it stood before the dense def table, verbatim
+   but for the latency patch [Deps.build] applied to its flow edges. *)
+let reference_register_edges ~latency (body : Op.t array) =
+  let module RegMap = Map.Make (struct
+    type t = Op.reg
+    let compare = compare
+  end) in
+  let reads_of op =
+    let pred_reads =
+      match op.Op.pred with Some p -> [ { Op.id = p; cls = Op.Int } ] | None -> []
+    in
+    List.sort_uniq compare (Op.uses op @ pred_reads)
+  in
+  let n = Array.length body in
+  let defs_of = ref RegMap.empty in
+  for i = 0 to n - 1 do
+    List.iter
+      (fun r ->
+        let cur = Option.value (RegMap.find_opt r !defs_of) ~default:[] in
+        defs_of := RegMap.add r (i :: cur) !defs_of)
+      (Op.defs body.(i))
+  done;
+  let defs_of = RegMap.map List.rev !defs_of in
+  let edges = ref [] in
+  let add src dst dkind latency distance =
+    if not (src = dst && distance = 0) then
+      edges := { Deps.src; dst; dkind; latency; distance } :: !edges
+  in
+  let last_def defs = List.nth defs (List.length defs - 1) in
+  for u = 0 to n - 1 do
+    List.iter
+      (fun r ->
+        match RegMap.find_opt r defs_of with
+        | None -> ()
+        | Some defs ->
+          let before = List.filter (fun d -> d < u) defs in
+          (match List.rev before with
+          | d :: _ -> add d u Deps.Reg_flow 0 0
+          | [] -> add (last_def defs) u Deps.Reg_flow 0 1);
+          let after = List.filter (fun d -> d > u) defs in
+          (match after with
+          | d :: _ -> add u d Deps.Reg_anti 0 0
+          | [] -> add u (List.hd defs) Deps.Reg_anti 0 1))
+      (reads_of body.(u))
+  done;
+  RegMap.iter
+    (fun _r defs ->
+      let rec chain = function
+        | d1 :: (d2 :: _ as rest) ->
+          add d1 d2 Deps.Reg_output 1 0;
+          chain rest
+        | [ _ ] | [] -> ()
+      in
+      chain defs;
+      match defs with
+      | d1 :: _ :: _ -> add (last_def defs) d1 Deps.Reg_output 1 1
+      | _ -> ())
+    defs_of;
+  List.map
+    (fun (e : Deps.edge) ->
+      if e.Deps.dkind = Deps.Reg_flow then { e with Deps.latency = latency body.(e.Deps.src) }
+      else e)
+    !edges
+
+let is_reg_edge (e : Deps.edge) =
+  match e.Deps.dkind with Deps.Reg_flow | Deps.Reg_anti | Deps.Reg_output -> true | _ -> false
+
+(* Memory, control and serial edges come from code this change left alone,
+   so the reference takes them from the graph under test: the check is
+   that the register edges match the old analysis exactly, order included,
+   and still lead the list. *)
+let same_as_reference ~latency (l : Loop.t) =
+  let d = Deps.build ~latency l in
+  d.Deps.edges
+  = reference_register_edges ~latency l.Loop.body @ List.filter (fun e -> not (is_reg_edge e)) d.Deps.edges
+
+let edge_tuples =
+  List.map (fun (e : Deps.edge) ->
+      ((e.Deps.src, e.Deps.dst), Deps.kind_code e.Deps.dkind, (e.Deps.latency, e.Deps.distance)))
+
+let edge_list = Alcotest.(list (triple (pair int int) int (pair int int)))
+
+let check_reg_edges what body expected =
+  let l = { (daxpy ()) with Loop.body } in
+  Alcotest.(check bool) (what ^ ": same as reference") true (same_as_reference ~latency l);
+  Alcotest.check edge_list what (edge_tuples expected)
+    (edge_tuples (List.filter is_reg_edge (Deps.build ~latency l).Deps.edges))
+
+let e src dst dkind latency distance = { Deps.src; dst; dkind; latency; distance }
+
+let test_deps_shared_id () =
+  (* r0 and f0 share id 0: each use finds its own class's def. *)
+  let r0 = { Op.id = 0; cls = Op.Int } and f0 = { Op.id = 0; cls = Op.Flt } in
+  let body =
+    [|
+      Op.make ~uid:0 ~dst:r0 Op.Ialu;
+      Op.make ~uid:1 ~dst:f0 Op.Fadd;
+      Op.make ~uid:2 ~dst:{ Op.id = 1; cls = Op.Flt } ~srcs:[ f0; r0 ] Op.Mov;
+      Op.make ~uid:3 (Op.Br Op.Backedge);
+    |]
+  in
+  check_reg_edges "shared id" body
+    [
+      e 2 1 Deps.Reg_anti 0 1;
+      e 1 2 Deps.Reg_flow (latency body.(1)) 0;
+      e 2 0 Deps.Reg_anti 0 1;
+      e 0 2 Deps.Reg_flow (latency body.(0)) 0;
+    ]
+
+let test_deps_guard_is_source () =
+  (* The guard r1 is also a source operand: one read, one flow edge. *)
+  let r1 = { Op.id = 1; cls = Op.Int } in
+  let body =
+    [|
+      Op.make ~uid:0 ~dst:r1 Op.Cmp;
+      Op.make ~uid:1 ~dst:{ Op.id = 2; cls = Op.Int } ~srcs:[ r1 ] ~pred:1 Op.Ialu;
+      Op.make ~uid:2 (Op.Br Op.Backedge);
+    |]
+  in
+  check_reg_edges "guard dedupe" body
+    [ e 1 0 Deps.Reg_anti 0 1; e 0 1 Deps.Reg_flow (latency body.(0)) 0 ]
+
+let test_deps_two_defs () =
+  (* r0 defined at 0 and 1, each reading it: flow/anti both ways, an output
+     chain 0 -> 1 and its wrap 1 -> 0 at distance 1. *)
+  let r0 = { Op.id = 0; cls = Op.Int } in
+  let body =
+    [|
+      Op.make ~uid:0 ~dst:r0 ~srcs:[ r0 ] Op.Ialu;
+      Op.make ~uid:1 ~dst:r0 ~srcs:[ r0 ] Op.Ialu;
+      Op.make ~uid:2 (Op.Br Op.Backedge);
+    |]
+  in
+  let lat = latency body.(0) in
+  check_reg_edges "two defs" body
+    [
+      e 1 0 Deps.Reg_output 1 1;
+      e 0 1 Deps.Reg_output 1 0;
+      e 1 0 Deps.Reg_anti 0 1;
+      e 0 1 Deps.Reg_flow lat 0;
+      e 0 1 Deps.Reg_anti 0 0;
+      e 1 0 Deps.Reg_flow lat 1;
+    ]
+
+(* Every loop shape the pipeline hands to [Deps.build]: the fuzz loop, its
+   kernel and remainder at factors 1-8, the RLE'd kernels, and the spill
+   rewrite of the case's kernel on a register-starved machine. *)
+let prop_deps_match_reference =
+  QCheck.Test.make ~count:150 ~name:"Deps.build = map-based reference, order included"
+    (QCheck.make fuzz_case_gen)
+    (fun c ->
+      let loop = c.Fuzz.Gen.loop and m = c.Fuzz.Gen.machine in
+      let unrolled =
+        if not (Loop.unrollable loop) then []
+        else
+          List.concat_map
+            (fun f ->
+              let u = Unroll.run loop f in
+              [ u.Unroll.kernel; (Rle.run u.Unroll.kernel).Rle.loop ]
+              @ Option.to_list u.Unroll.remainder)
+            [ 1; 2; 3; 4; 5; 6; 7; 8 ]
+      in
+      let kernel =
+        (Unroll.run loop (if Loop.unrollable loop then c.Fuzz.Gen.factor else 1)).Unroll.kernel
+      in
+      let tiny = { m with Machine.int_regs = 6; fp_regs = 4 } in
+      let spilled = (Regalloc.allocate ~sched:(List_sched.schedule tiny) kernel).Schedule.loop in
+      List.for_all
+        (same_as_reference ~latency:(Machine.latency m))
+        ((loop :: spilled :: unrolled)))
+
 let suite =
   [
     ("op classifiers", `Quick, test_op_classifiers);
@@ -387,6 +560,9 @@ let suite =
     ("deps language aliasing", `Quick, test_deps_language_aliasing);
     ("deps offset distance", `Quick, test_deps_distance_from_offsets);
     ("deps intra filter", `Quick, test_intra_iteration_filter);
+    ("deps shared id", `Quick, test_deps_shared_id);
+    ("deps guard is source", `Quick, test_deps_guard_is_source);
+    ("deps two defs", `Quick, test_deps_two_defs);
     ("dag critical path", `Quick, test_dag_critical_path_chain);
     ("dag recurrence", `Quick, test_dag_recurrence_ddot);
     ("dag computations", `Quick, test_dag_computations_wide);
@@ -396,4 +572,5 @@ let suite =
     QCheck_alcotest.to_alcotest prop_synth_valid;
     QCheck_alcotest.to_alcotest prop_synth_deps_acyclic;
     QCheck_alcotest.to_alcotest prop_live_in_matches_reference;
+    QCheck_alcotest.to_alcotest prop_deps_match_reference;
   ]

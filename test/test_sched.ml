@@ -298,6 +298,144 @@ let test_floor_rejects_counter () =
   Alcotest.(check bool) "not pipelined" true (Modulo_sched.schedule machine u = None);
   Alcotest.(check int) "floor-rejects bumped" (before + 1) (rejects ())
 
+(* --- List scheduling against the Set-based scheduler it replaced --- *)
+
+(* The scheduler as it stood before the ready heap and the flat resource
+   table, verbatim but for taking its graph from a fresh [Deps.build]. *)
+let reference_list_schedule (machine : Machine.t) (loop : Loop.t) =
+  let kind_index = function Machine.M -> 0 | Machine.I -> 1 | Machine.F -> 2 | Machine.B -> 3 in
+  let avail m = [| m.Machine.m_units; m.Machine.i_units; m.Machine.f_units; m.Machine.b_units |] in
+  let per_cycle = ref (Array.init 32 (fun _ -> Array.make 5 0)) in
+  let ensure cycle =
+    let n = Array.length !per_cycle in
+    if cycle >= n then begin
+      let bigger = Array.init (max (cycle + 1) (2 * n)) (fun _ -> Array.make 5 0) in
+      Array.blit !per_cycle 0 bigger 0 n;
+      per_cycle := bigger
+    end
+  in
+  let occupancy (op : Op.t) =
+    match op.Op.opcode with
+    | Op.Fdiv when machine.Machine.fdiv_unpipelined -> machine.Machine.lat_fdiv
+    | _ -> 1
+  in
+  let fits op cycle =
+    let k = kind_index (Machine.unit_of op) in
+    let ok = ref true in
+    for c = cycle to cycle + occupancy op - 1 do
+      ensure c;
+      let row = !per_cycle.(c) in
+      if row.(k) >= (avail machine).(k) then ok := false;
+      if c = cycle && row.(4) >= machine.Machine.issue_width then ok := false
+    done;
+    !ok
+  in
+  let reserve op cycle =
+    let k = kind_index (Machine.unit_of op) in
+    for c = cycle to cycle + occupancy op - 1 do
+      ensure c;
+      let row = !per_cycle.(c) in
+      row.(k) <- row.(k) + 1;
+      if c = cycle then row.(4) <- row.(4) + 1
+    done
+  in
+  let body = loop.Loop.body in
+  let n = Array.length body in
+  let g = Deps.to_csr (Deps.build ~latency:(Machine.latency machine) loop) in
+  let iter_succs0 v f =
+    for s = g.Deps.succ_off.(v) to g.Deps.succ_off.(v + 1) - 1 do
+      let e = g.Deps.succ_edge.(s) in
+      if g.Deps.e_dist.(e) = 0 then f e
+    done
+  in
+  let height = Array.make n 0 in
+  let order = Array.make n 0 in
+  let filled = ref 0 in
+  let visited = Array.make n false in
+  let rec visit v =
+    if not visited.(v) then begin
+      visited.(v) <- true;
+      iter_succs0 v (fun e -> visit g.Deps.e_dst.(e));
+      order.(!filled) <- v;
+      incr filled
+    end
+  in
+  for v = 0 to n - 1 do visit v done;
+  for i = 0 to n - 1 do
+    let v = order.(i) in
+    let best = ref 0 in
+    iter_succs0 v (fun e ->
+        let cand = height.(g.Deps.e_dst.(e)) + g.Deps.e_lat.(e) in
+        if cand > !best then best := cand);
+    height.(v) <- !best
+  done;
+  let unscheduled_preds = Array.make n 0 in
+  for e = 0 to g.Deps.n_edges - 1 do
+    if g.Deps.e_dist.(e) = 0 then begin
+      let d = g.Deps.e_dst.(e) in
+      unscheduled_preds.(d) <- unscheduled_preds.(d) + 1
+    end
+  done;
+  let assignment = Array.make n (-1) in
+  let earliest = Array.make n 0 in
+  let module Ready = Set.Make (struct
+    type t = int * int * int
+    let compare = compare
+  end) in
+  let ready = ref Ready.empty in
+  for v = 0 to n - 1 do
+    if unscheduled_preds.(v) = 0 then ready := Ready.add (-height.(v), v, 0) !ready
+  done;
+  let scheduled = ref 0 in
+  while !scheduled < n do
+    match Ready.min_elt_opt !ready with
+    | None -> failwith "reference: dependence cycle in distance-0 graph"
+    | Some ((_, v, _) as elt) ->
+      ready := Ready.remove elt !ready;
+      let cycle = ref earliest.(v) in
+      while not (fits body.(v) !cycle) do incr cycle done;
+      reserve body.(v) !cycle;
+      assignment.(v) <- !cycle;
+      incr scheduled;
+      iter_succs0 v (fun e ->
+          let d = g.Deps.e_dst.(e) in
+          earliest.(d) <- max earliest.(d) (!cycle + g.Deps.e_lat.(e));
+          unscheduled_preds.(d) <- unscheduled_preds.(d) - 1;
+          if unscheduled_preds.(d) = 0 then ready := Ready.add (-height.(d), d, 0) !ready)
+  done;
+  (assignment, Array.fold_left (fun acc c -> max acc (c + 1)) 1 assignment)
+
+let test_fuzz_machines_have_unpipelined_fdiv () =
+  (* The equivalence property below relies on this to exercise occupancy
+     above one cycle. *)
+  Alcotest.(check bool) "some fuzz machine blocks its divider" true
+    (Array.exists (fun m -> m.Machine.fdiv_unpipelined) Fuzz.Gen.machines)
+
+(* Fuzz loops as generated and unrolled by the case's factor, on every
+   fuzz machine. *)
+let prop_list_sched_matches_reference =
+  QCheck.Test.make ~count:150 ~name:"list schedule = Set-based reference, every fuzz machine"
+    (QCheck.make
+       QCheck.Gen.(
+         let* seed = 0 -- 1000 in
+         let* id = 0 -- 10000 in
+         return (Fuzz.Gen.case ~seed ~id ())))
+    (fun c ->
+      let loop = c.Fuzz.Gen.loop in
+      let factor = if Loop.unrollable loop then c.Fuzz.Gen.factor else 1 in
+      let kernel = (Unroll.run loop factor).Unroll.kernel in
+      List.for_all
+        (fun l ->
+          Array.for_all
+            (fun m ->
+              let s = List_sched.schedule m l in
+              let assignment, length = reference_list_schedule m l in
+              s.Schedule.assignment = assignment
+              && s.Schedule.length = length
+              && Schedule.validate s = Ok ())
+            Fuzz.Gen.machines)
+        [ loop; kernel ])
+
 let suite =
   [
     ("list sched validates", `Quick, test_list_sched_validates);
@@ -318,9 +456,11 @@ let suite =
     ("regalloc limits or spills", `Quick, test_allocate_within_limits_or_spills);
     ("regalloc spill code", `Quick, test_spill_code_inserted);
     ("regalloc lowers pressure", `Quick, test_spill_lowers_pressure);
+    ("fuzz machines block the divider", `Quick, test_fuzz_machines_have_unpipelined_fdiv);
     QCheck_alcotest.to_alcotest prop_list_schedule_valid;
     QCheck_alcotest.to_alcotest prop_modulo_schedule_valid;
     QCheck_alcotest.to_alcotest prop_modulo_ii_at_least_mii;
     QCheck_alcotest.to_alcotest prop_floor_is_lower_bound;
     QCheck_alcotest.to_alcotest prop_over_floor_rejected;
+    QCheck_alcotest.to_alcotest prop_list_sched_matches_reference;
   ]

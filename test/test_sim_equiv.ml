@@ -74,36 +74,6 @@ let prop_fast_forward_flag_is_pure =
       in
       on = off)
 
-(* --- shared dependence graphs ------------------------------------------ *)
-
-let test_deps_memo_transparent () =
-  (* Memoised CSR graphs must change nothing downstream: same schedules
-     (including the attached CSR), same feature vectors. *)
-  let with_memo enabled f =
-    let prev = !Deps_memo.enabled in
-    Deps_memo.enabled := enabled;
-    Fun.protect ~finally:(fun () -> Deps_memo.enabled := prev) f
-  in
-  List.iter
-    (fun (name, maker) ->
-      let loop = maker ~name ~trip:96 in
-      List.iter
-        (fun swp ->
-          let off =
-            with_memo false (fun () ->
-                Pipeline.compile ~cache:(Compile_cache.create ()) machine ~swp loop 4)
-          in
-          let on =
-            with_memo true (fun () ->
-                Pipeline.compile ~cache:(Compile_cache.create ()) machine ~swp loop 4)
-          in
-          if off <> on then Alcotest.failf "%s swp=%b: schedules differ under memo" name swp)
-        [ false; true ];
-      let f_off = with_memo false (fun () -> Features.extract machine loop) in
-      let f_on = with_memo true (fun () -> Features.extract machine loop) in
-      Alcotest.(check (array (float 0.0))) (name ^ " features") f_off f_on)
-    Kernels.all
-
 (* --- end-to-end labels -------------------------------------------------- *)
 
 let test_labels_unchanged_by_fast_paths () =
@@ -188,7 +158,6 @@ let suite =
   [
     QCheck_alcotest.to_alcotest prop_fast_equals_reference;
     QCheck_alcotest.to_alcotest prop_fast_forward_flag_is_pure;
-    ("deps memo transparent to schedules and features", `Quick, test_deps_memo_transparent);
     ("labels unchanged by fast paths", `Slow, test_labels_unchanged_by_fast_paths);
     ("RecMII within graph-derived bound", `Quick, test_rec_mii_bracketed_by_graph_bound);
     ("RecMII of a long carried recurrence", `Quick, test_rec_mii_long_recurrence);

@@ -1,18 +1,20 @@
 (* Labeling-sweep benchmark: fast simulator vs the frozen reference.
 
-   Compiles the FAST-scale suite once (shared compile cache), then times
-   the part the labelling pipeline actually repeats per (loop, factor,
-   swp): create a state, run the warm-up/measure pair.  The naive side is
+   Walks the FAST-scale suite one loop at a time: compile its 16
+   executables (8 factors x {straight, swp}), gate them, time them, drop
+   them, so peak memory is one loop's worth.  What is timed is the part
+   the labelling pipeline actually repeats per (loop, factor, swp):
+   create a state, run the warm-up/measure pair.  The naive side is
    [Sim_reference] on [Cache_reference] — the complete pre-optimisation
    stack, frozen verbatim — so the ratio reflects every layer of the fast
    path: array plans, shift/mask caches, shared CSR graphs, fetch skip,
-   entry skip, wrap-period fast-forward.  Both sides produce (cycles,
-   stats) for every executable and the run aborts the speedup claim unless
-   they are bit-identical.
+   entry skip.  Both sides produce (cycles, stats) for every executable
+   and the run fails unless they are bit-identical.  [naive_s] and
+   [fast_s] sum each loop's best of [reps] interleaved repetitions.
 
    Also times Deps.build plus its CSR view over the suite's loops, and
-   writes a one-line JSON summary to stdout and BENCH_sim.json (a CI artifact next
-   to BENCH_ml.json). *)
+   writes a one-line JSON summary to stdout and BENCH_sim.json (a CI
+   artifact next to BENCH_ml.json), with the process's peak RSS. *)
 
 let machine = Config.fast.Config.machine
 let max_sim_iters = Config.fast.Config.max_sim_iters
@@ -47,61 +49,66 @@ let fast_pair exe =
   let c2, s2 = Simulator.run_profiled ~max_sim_iters st exe in
   ((c1, stats_tuple s1), (c2, stats_tuple s2))
 
+(* Peak resident set size in MB (VmHWM), or -1 where /proc is absent. *)
+let peak_rss_mb () =
+  match In_channel.with_open_text "/proc/self/status" In_channel.input_all with
+  | exception Sys_error _ -> -1
+  | status ->
+    List.fold_left
+      (fun acc line ->
+        match Scanf.sscanf line "VmHWM: %d kB" (fun kb -> kb / 1024) with
+        | mb -> mb
+        | exception _ -> acc)
+      (-1) (String.split_on_char '\n' status)
+
 let () =
   let benchmarks = Suite.full ~scale:Config.fast.Config.scale ~seed:Config.fast.Config.seed in
   let loops = Suite.all_loops benchmarks |> List.map snd in
-  let cache = Compile_cache.create () in
-  Printf.printf "compiling %d loops x 8 factors x {straight, swp}...\n%!" (List.length loops);
-  let t0 = Unix.gettimeofday () in
-  let exes =
-    List.concat_map
-      (fun loop ->
-        List.concat_map
-          (fun swp ->
-            List.map
-              (fun u -> Simulator.compile ~cache machine ~swp loop u)
-              [ 1; 2; 3; 4; 5; 6; 7; 8 ])
-          [ false; true ])
-      loops
-  in
-  let t_compile = Unix.gettimeofday () -. t0 in
-  Printf.printf "compiled %d executables in %.1fs\n%!" (List.length exes) t_compile;
-
-  (* Bit-identity first: cycles and the full stats breakdown, warm runs
-     included, for every executable. *)
-  let mismatches = ref 0 in
-  List.iter
-    (fun exe -> if naive_pair exe <> fast_pair exe then incr mismatches)
-    exes;
-  let identical = !mismatches = 0 in
-  Printf.printf "bit-identity: %d mismatches over %d executables\n%!" !mismatches
-    (List.length exes);
-
-  (* Interleaved best-of-N so drift hits both sides equally. *)
-  Gc.full_major ();
+  Printf.printf "%d loops x 8 factors x {straight, swp}, one loop at a time...\n%!"
+    (List.length loops);
   let reps = 4 in
-  let t_naive = ref infinity and t_fast = ref infinity in
   let tel = Telemetry.global in
   let c name = Telemetry.counter tel ~pass:"simulator" name in
-  let iters0 = c "iters-simulated" and ff0 = c "iters-fast-forwarded" in
-  let es0 = c "entries-simulated" and sk0 = c "entries-skipped" in
-  for _ = 1 to reps do
-    let a = Unix.gettimeofday () in
-    List.iter (fun exe -> ignore (naive_pair exe)) exes;
-    let d = Unix.gettimeofday () -. a in
-    if d < !t_naive then t_naive := d;
-    let a = Unix.gettimeofday () in
-    List.iter (fun exe -> ignore (fast_pair exe)) exes;
-    let d = Unix.gettimeofday () -. a in
-    if d < !t_fast then t_fast := d
-  done;
-  let iters_sim = c "iters-simulated" - iters0 in
-  let iters_ff = c "iters-fast-forwarded" - ff0 in
-  let entries_sim = c "entries-simulated" - es0 in
-  let entries_skipped = c "entries-skipped" - sk0 in
+  let t_compile = ref 0.0 and t_naive = ref 0.0 and t_fast = ref 0.0 in
+  let n_exes = ref 0 and mismatches = ref 0 in
+  let iters_sim = ref 0 and entries_sim = ref 0 and entries_skipped = ref 0 in
+  List.iter
+    (fun loop ->
+      let t0 = Unix.gettimeofday () in
+      let exes =
+        List.concat_map
+          (fun swp -> List.init 8 (fun i -> Simulator.compile machine ~swp loop (i + 1)))
+          [ false; true ]
+      in
+      t_compile := !t_compile +. (Unix.gettimeofday () -. t0);
+      n_exes := !n_exes + List.length exes;
+      (* Bit-identity first: cycles and the full stats breakdown, warm runs
+         included, for every executable. *)
+      List.iter (fun exe -> if naive_pair exe <> fast_pair exe then incr mismatches) exes;
+      (* Interleaved best-of-N so drift hits both sides equally; the
+         simulator counters cover the timed fast runs only. *)
+      let best_naive = ref infinity and best_fast = ref infinity in
+      for _ = 1 to reps do
+        let a = Unix.gettimeofday () in
+        List.iter (fun exe -> ignore (naive_pair exe)) exes;
+        best_naive := Float.min !best_naive (Unix.gettimeofday () -. a);
+        let i0 = c "iters-simulated" and e0 = c "entries-simulated" and s0 = c "entries-skipped" in
+        let a = Unix.gettimeofday () in
+        List.iter (fun exe -> ignore (fast_pair exe)) exes;
+        best_fast := Float.min !best_fast (Unix.gettimeofday () -. a);
+        iters_sim := !iters_sim + (c "iters-simulated" - i0);
+        entries_sim := !entries_sim + (c "entries-simulated" - e0);
+        entries_skipped := !entries_skipped + (c "entries-skipped" - s0)
+      done;
+      t_naive := !t_naive +. !best_naive;
+      t_fast := !t_fast +. !best_fast)
+    loops;
+  let identical = !mismatches = 0 in
+  Printf.printf "compiled %d executables in %.1fs\n%!" !n_exes !t_compile;
+  Printf.printf "bit-identity: %d mismatches over %d executables\n%!" !mismatches !n_exes;
   let speedup = !t_naive /. Float.max !t_fast 1e-9 in
-  Printf.printf "labeling sim sweep (best of %d): naive %.3fs | fast %.3fs (%.2fx)\n%!" reps
-    !t_naive !t_fast speedup;
+  Printf.printf "labeling sim sweep (per-loop best of %d): naive %.3fs | fast %.3fs (%.2fx)\n%!"
+    reps !t_naive !t_fast speedup;
 
   (* Dependence graphs: Deps.build plus its CSR view, best of 5. *)
   let lat = Machine.latency machine in
@@ -122,11 +129,11 @@ let () =
       "{\"bench\":\"sim-fast-path\",\"loops\":%d,\"executables\":%d,\
        \"max_sim_iters\":%d,\"compile_s\":%.1f,\"naive_s\":%.3f,\
        \"fast_s\":%.3f,\"speedup\":%.2f,\"identical\":%b,\
-       \"iters_simulated\":%d,\"iters_fast_forwarded\":%d,\
+       \"iters_simulated\":%d,\
        \"entries_simulated\":%d,\"entries_skipped\":%d,\
-       \"deps_build_s\":%.4f}"
-      (List.length loops) (List.length exes) max_sim_iters t_compile !t_naive !t_fast speedup
-      identical iters_sim iters_ff entries_sim entries_skipped t_build
+       \"deps_build_s\":%.4f,\"peak_rss_mb\":%d}"
+      (List.length loops) !n_exes max_sim_iters !t_compile !t_naive !t_fast speedup identical
+      !iters_sim !entries_sim !entries_skipped t_build (peak_rss_mb ())
   in
   print_endline json;
   let oc = open_out "BENCH_sim.json" in

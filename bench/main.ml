@@ -89,16 +89,6 @@ let microbench_tests env =
       (Staged.stage (fun () -> Simulator.compile machine ~swp:false sample_loop 4));
     Test.make ~name:"compile-u4-swp"
       (Staged.stage (fun () -> Simulator.compile machine ~swp:true sample_loop 4));
-    (* Cold vs content-addressed-cache compile: capacity 0 disables the
-       store, so every call re-runs the pass pipeline; the warm cache
-       should answer in a digest + table lookup. *)
-    Test.make ~name:"compile-u4-cold"
-      (let cold = Compile_cache.create ~exe_capacity:0 ~cycles_capacity:0 () in
-       Staged.stage (fun () -> Pipeline.compile ~cache:cold machine ~swp:false sample_loop 4));
-    Test.make ~name:"compile-u4-cached"
-      (let warm = Compile_cache.create () in
-       ignore (Pipeline.compile ~cache:warm machine ~swp:false sample_loop 4);
-       Staged.stage (fun () -> Pipeline.compile ~cache:warm machine ~swp:false sample_loop 4));
   ]
 
 let run_microbenches env =
@@ -139,12 +129,11 @@ let run_microbenches env =
   Table.print t;
   print_endline
     "paper claims: NN lookup < 5 ms over 2,500 examples; SVM training ~30 s\n\
-     (Matlab, N=2,500; the O(N^3) solve here is benchmarked at smaller N).";
-  rows
+     (Matlab, N=2,500; the O(N^3) solve here is benchmarked at smaller N)."
 
 (* ---------------- pipeline: parallel sweep + compile cache ---------------- *)
 
-let run_parallel_bench config compile_rows =
+let run_parallel_bench config =
   hr "Pass pipeline: sequential vs parallel labelling sweep";
   let benchmarks =
     Suite.full ~scale:(Float.min config.Config.scale 0.15) ~seed:config.Config.seed
@@ -181,17 +170,16 @@ let run_parallel_bench config compile_rows =
      (%d hits) | identical=%b\n"
     (Array.length seq) t_seq jobs t_par (t_seq /. Float.max t_par 1e-9) t_warm warm_hits
     identical;
-  let ns name = try List.assoc name compile_rows with Not_found -> nan in
+  let hits = Compile_cache.hits Compile_cache.global in
+  let lookups = hits + Compile_cache.misses Compile_cache.global in
   Printf.printf
     "{\"bench\":\"pipeline\",\"loops\":%d,\"jobs\":%d,\"seq_s\":%.3f,\"par_s\":%.3f,\
      \"speedup\":%.2f,\"identical\":%b,\"warm_s\":%.3f,\"warm_hits\":%d,\
-     \"hit_rate\":%.3f,\"compile_cold_ns\":%.0f,\"compile_cached_ns\":%.0f}\n"
+     \"hit_rate\":%.3f}\n"
     (Array.length seq) jobs t_seq t_par
     (t_seq /. Float.max t_par 1e-9)
     identical t_warm warm_hits
-    (Compile_cache.hit_rate Compile_cache.global)
-    (ns "unroll-ml/compile-u4-cold")
-    (ns "unroll-ml/compile-u4-cached")
+    (if lookups = 0 then 0.0 else float_of_int hits /. float_of_int lookups)
 
 (* ---------------- prediction serving ---------------- *)
 
@@ -276,7 +264,7 @@ let () =
     (if config = Config.fast then " (FAST)" else "");
   let env = Experiments.build_env config in
   run_experiments env;
-  let rows = run_microbenches env in
-  run_parallel_bench config rows;
+  run_microbenches env;
+  run_parallel_bench config;
   run_serve_bench ();
   run_train_bench ()

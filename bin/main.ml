@@ -70,8 +70,8 @@ let config_term =
     $ fast_flag $ scale_opt $ seed_opt $ machine_opt $ runs_opt $ noise_opt $ jobs_opt)
 
 (* Rates derived from the raw counters — the table above only shows the
-   absolute counts.  A section is omitted when its denominator is zero
-   (e.g. no simulation ran, or the dependence-graph memo was disabled). *)
+   absolute counts.  A line is omitted when its denominator is zero
+   (e.g. no simulation ran). *)
 let rate_summary t =
   let c pass name = Telemetry.counter t ~pass name in
   let buf = Buffer.create 256 in
@@ -89,12 +89,8 @@ let rate_summary t =
   hit_rate "L1d hit rate" "simulator" "l1d";
   hit_rate "L1i hit rate" "simulator" "l1i";
   hit_rate "L2 hit rate" "simulator" "l2";
-  let is = c "simulator" "iters-simulated" and iff = c "simulator" "iters-fast-forwarded" in
-  rate "iterations fast-forwarded" iff (is + iff);
   let es = c "simulator" "entries-simulated" and sk = c "simulator" "entries-skipped" in
   rate "entries skipped" sk (es + sk);
-  let dh = c "deps-memo" "hits" and dm = c "deps-memo" "misses" in
-  rate "deps-memo hit rate" dh (dh + dm);
   if Buffer.length buf = 0 then "" else "derived rates\n" ^ Buffer.contents buf
 
 let with_telemetry telemetry f =

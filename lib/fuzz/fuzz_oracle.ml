@@ -157,10 +157,8 @@ let check_sim (c : Fuzz_gen.case) =
     { c.Fuzz_gen.loop with Loop.outer_trip = min c.Fuzz_gen.loop.Loop.outer_trip 256 }
   in
   let exe =
-    Pipeline.compile
-      ~cache:(Compile_cache.create ())
-      ~telemetry:(Telemetry.create ()) c.Fuzz_gen.machine ~swp:c.Fuzz_gen.swp loop
-      c.Fuzz_gen.factor
+    Pipeline.compile ~telemetry:(Telemetry.create ()) c.Fuzz_gen.machine ~swp:c.Fuzz_gen.swp
+      loop c.Fuzz_gen.factor
   in
   let iters = sim_iters.(c.Fuzz_gen.id mod Array.length sim_iters) in
   let fast =
@@ -200,18 +198,22 @@ let cache_key (c : Fuzz_gen.case) =
   Compile_cache.key ~machine:c.Fuzz_gen.machine ~swp:c.Fuzz_gen.swp
     ~factor:c.Fuzz_gen.factor c.Fuzz_gen.loop
 
+(* Two noise-free sweeps on one fresh cache: the second must be served
+   entirely from the cycles store (one hit per factor) and agree with the
+   first, which simulated every factor. *)
 let check_cache (c : Fuzz_gen.case) =
-  let compile cache =
-    Pipeline.compile ~cache ~telemetry:(Telemetry.create ()) c.Fuzz_gen.machine
-      ~swp:c.Fuzz_gen.swp c.Fuzz_gen.loop c.Fuzz_gen.factor
+  let cache = Compile_cache.create () in
+  let sweep () =
+    Measure.sweep ~noise:0.0 ~runs:1 ~max_sim_iters:40 ~cache ~rng:(Rng.create 0)
+      ~machine:c.Fuzz_gen.machine ~swp:c.Fuzz_gen.swp c.Fuzz_gen.loop
   in
-  let cold = compile (Compile_cache.create ~exe_capacity:0 ~cycles_capacity:0 ()) in
-  let shared = Compile_cache.create () in
-  ignore (compile shared);
-  let hit_before = Compile_cache.hits shared in
-  let warm = compile shared in
-  if Compile_cache.hits shared <= hit_before then Some "warm compile did not hit the cache"
-  else if cold <> warm then Some "cache hit differs from cold compile"
+  let cold = sweep () in
+  let hit_before = Compile_cache.hits cache in
+  let warm = sweep () in
+  let added = Compile_cache.hits cache - hit_before in
+  if added <> Unroll.max_factor then
+    Some (Printf.sprintf "warm sweep added %d cache hits, expected %d" added Unroll.max_factor)
+  else if cold <> warm then Some "cached sweep differs from the simulated one"
   else None
 
 let check_text_semantics (loop : Loop.t) (l2 : Loop.t) =

@@ -16,10 +16,11 @@
       case's coordinates, interpreting the scheduled kernel and remainder;
     - [pipeline-interp[noregalloc]] — pipeline with the allocator disabled
       (schedules still on virtual registers);
-    - [sim-fast-vs-ref] — fast-forwarded simulator vs the frozen reference,
-      warm-state pairs included (PR 3's contract);
-    - [cache-roundtrip] — a compile served from a warm {!Compile_cache} is
-      structurally identical to a cold compile;
+    - [sim-fast-vs-ref] — the simulator with its exact shortcuts (fetch
+      skip, entry skip) vs the frozen reference, warm-state pairs included;
+    - [cache-roundtrip] — a repeated noise-free {!Measure.sweep} on one
+      fresh {!Compile_cache} is served entirely from the cycles store
+      (one hit per factor) and returns the simulated sweep's counts;
     - [text-roundtrip] — [Loop_text.parse ∘ to_string] is the identity up
       to register numbering (the parser renumbers registers in textual
       occurrence order), and the renumbered normal form is a true print
@@ -42,8 +43,8 @@ type outcome = {
   checked : string list;                (** oracle names that ran *)
   violations : (string * string) list;  (** (oracle name, detail) *)
   digest : (string * string) option;
-      (** (cache key, canonical content) when the cache oracle ran; the
-          driver checks for cross-case digest collisions *)
+      (** ({!Compile_cache.key}, canonical content) when the cache oracle
+          ran; the driver checks for cross-case digest collisions *)
 }
 
 val oracle_names : string list

@@ -1,49 +1,23 @@
 type key = string
 
-(* A bounded hashtable with oldest-first eviction: entries remember their
-   insertion order through a queue; when over capacity the head is
-   dropped.  Re-insertions of a live key are no-ops, so the queue never
-   holds stale duplicates. *)
-type 'v store = {
-  table : (key, 'v) Hashtbl.t;
-  fifo : key Queue.t;
-  capacity : int;
-}
-
-let store_create capacity = { table = Hashtbl.create 64; fifo = Queue.create (); capacity }
-
-let store_find s k = Hashtbl.find_opt s.table k
-
-let store_add s k v =
-  if s.capacity > 0 && not (Hashtbl.mem s.table k) then begin
-    if Hashtbl.length s.table >= s.capacity then begin
-      let oldest = Queue.pop s.fifo in
-      Hashtbl.remove s.table oldest
-    end;
-    Hashtbl.add s.table k v;
-    Queue.push k s.fifo
-  end
-
-let store_clear s =
-  Hashtbl.reset s.table;
-  Queue.clear s.fifo
+(* Bounded oldest-first: entries remember their insertion order through a
+   queue; when over capacity the head is dropped.  Re-insertions of a live
+   key are no-ops, so the queue never holds stale duplicates. *)
+let capacity = 262144
 
 type t = {
   mutex : Mutex.t;
-  exes : Pipeline_state.executable store;
-  cycles : int store;
-  telemetry : Telemetry.t;
+  table : (string, int) Hashtbl.t;
+  fifo : string Queue.t;
   mutable hit_count : int;
   mutable miss_count : int;
 }
 
-let create ?(exe_capacity = 4096) ?(cycles_capacity = 262144)
-    ?(telemetry = Telemetry.global) () =
+let create () =
   {
     mutex = Mutex.create ();
-    exes = store_create exe_capacity;
-    cycles = store_create cycles_capacity;
-    telemetry;
+    table = Hashtbl.create 64;
+    fifo = Queue.create ();
     hit_count = 0;
     miss_count = 0;
   }
@@ -56,52 +30,42 @@ let locked t f =
 
 let key ~machine ~swp ~factor (loop : Loop.t) =
   (* Content address: the name does not participate, so structurally
-     identical loops share compiles.  Marshal covers every field of both
-     records (pure data, no closures). *)
+     identical loops share measurements.  Marshal covers every field of
+     both records (pure data, no closures). *)
   Digest.string
     (Marshal.to_string ({ loop with Loop.name = "" }, factor, swp, machine) [])
-
-let tally t found =
-  if found then begin
-    t.hit_count <- t.hit_count + 1;
-    Telemetry.incr t.telemetry ~pass:"compile-cache" "hits" 1
-  end
-  else begin
-    t.miss_count <- t.miss_count + 1;
-    Telemetry.incr t.telemetry ~pass:"compile-cache" "misses" 1
-  end
-
-let find_exe t k =
-  locked t (fun () ->
-      let r = store_find t.exes k in
-      tally t (r <> None);
-      r)
-
-let store_exe t k exe = locked t (fun () -> store_add t.exes k exe)
 
 let cycles_key k ~max_sim_iters =
   k ^ ":" ^ (match max_sim_iters with Some n -> string_of_int n | None -> "d")
 
 let find_cycles t k ~max_sim_iters =
   locked t (fun () ->
-      let r = store_find t.cycles (cycles_key k ~max_sim_iters) in
-      tally t (r <> None);
+      let r = Hashtbl.find_opt t.table (cycles_key k ~max_sim_iters) in
+      if r <> None then begin
+        t.hit_count <- t.hit_count + 1;
+        Telemetry.incr Telemetry.global ~pass:"compile-cache" "hits" 1
+      end
+      else begin
+        t.miss_count <- t.miss_count + 1;
+        Telemetry.incr Telemetry.global ~pass:"compile-cache" "misses" 1
+      end;
       r)
 
 let store_cycles t k ~max_sim_iters c =
-  locked t (fun () -> store_add t.cycles (cycles_key k ~max_sim_iters) c)
+  let k = cycles_key k ~max_sim_iters in
+  locked t (fun () ->
+      if not (Hashtbl.mem t.table k) then begin
+        if Hashtbl.length t.table >= capacity then Hashtbl.remove t.table (Queue.pop t.fifo);
+        Hashtbl.add t.table k c;
+        Queue.push k t.fifo
+      end)
 
 let hits t = locked t (fun () -> t.hit_count)
 let misses t = locked t (fun () -> t.miss_count)
 
-let hit_rate t =
-  locked t (fun () ->
-      let total = t.hit_count + t.miss_count in
-      if total = 0 then 0.0 else float_of_int t.hit_count /. float_of_int total)
-
 let clear t =
   locked t (fun () ->
-      store_clear t.exes;
-      store_clear t.cycles;
+      Hashtbl.reset t.table;
+      Queue.clear t.fifo;
       t.hit_count <- 0;
       t.miss_count <- 0)

@@ -1,37 +1,33 @@
-(** Content-addressed compile cache.
+(** Content-addressed store of noise-free cycle counts.
 
-    The labelling methodology compiles every loop at eight unroll factors,
-    twice (SWP off/on), and the experiment drivers re-enter the compiler
-    with the same loops again and again.  This cache memoises both the
-    compiled executables and the deterministic (noise-free) cycle counts,
-    keyed by a digest of the loop's {e content} (its name is blanked, so
-    identical loops under different names share entries), the unroll
-    factor, the SWP flag, and the full machine description.
+    The labelling methodology measures every loop at eight unroll factors,
+    and the experiment drivers re-enter the sweep with the same loops
+    again and again.  [Measure.sweep] memoises each deterministic
+    (noise-free) warm cycle count here, keyed by a digest of the loop's
+    {e content} (its name is blanked, so identical loops under different
+    names share entries), the unroll factor, the SWP flag, the full
+    machine description and the simulation window.  Compiled executables
+    are not kept: a hit skips both the compile and the two simulator
+    runs, and a miss compiles afresh.
 
     All operations are mutex-protected: worker domains of the parallel
-    labelling sweep share one cache.  Both stores are bounded and evict
-    oldest-first; a capacity of 0 disables storing entirely (useful for
-    benchmarking cold compiles).  Hit/miss counters feed the telemetry
-    sink under the ["compile-cache"] pass. *)
+    labelling sweep share one cache.  The store holds at most 262,144
+    counts and evicts oldest-first.  Hit/miss counters feed
+    {!Telemetry.global} under the ["compile-cache"] pass. *)
 
 type key = string
 (** A content digest; cheap to compare and hash. *)
 
 type t
 
-val create : ?exe_capacity:int -> ?cycles_capacity:int -> ?telemetry:Telemetry.t -> unit -> t
-(** Defaults: [exe_capacity] 4096 (executables hold whole schedules),
-    [cycles_capacity] 262144 (an int each), telemetry {!Telemetry.global}. *)
+val create : unit -> t
 
 val global : t
-(** The process-wide cache used by {!val:Pipeline.compile} by default. *)
+(** The process-wide cache used by [Measure.sweep] by default. *)
 
 val key : machine:Machine.t -> swp:bool -> factor:int -> Loop.t -> key
 (** Digest of the quadruple.  Every field of the loop except its name and
     every field of the machine participate. *)
-
-val find_exe : t -> key -> Pipeline_state.executable option
-val store_exe : t -> key -> Pipeline_state.executable -> unit
 
 val find_cycles : t -> key -> max_sim_iters:int option -> int option
 (** The memoised noise-free measurement for the keyed compile under the
@@ -42,10 +38,7 @@ val store_cycles : t -> key -> max_sim_iters:int option -> int -> unit
 
 val hits : t -> int
 val misses : t -> int
-(** Lookup counters across both stores since creation (or {!clear}). *)
-
-val hit_rate : t -> float
-(** [hits / (hits + misses)], 0 when empty. *)
+(** Lookup counters since creation (or {!clear}). *)
 
 val clear : t -> unit
 (** Drop all entries and zero the counters. *)

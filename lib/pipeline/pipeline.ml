@@ -219,15 +219,8 @@ let run ?(telemetry = Telemetry.global) ?(passes = default_passes) st =
       st)
     st passes
 
-let compile ?(cache = Compile_cache.global) ?telemetry machine ~swp loop factor =
-  let key = Compile_cache.key ~machine ~swp ~factor loop in
-  match Compile_cache.find_exe cache key with
-  | Some exe -> exe
-  | None ->
-    let st = run ?telemetry (Pipeline_state.init machine ~swp loop factor) in
-    let exe = Pipeline_state.executable_exn st in
-    Compile_cache.store_exe cache key exe;
-    exe
+let compile ?telemetry machine ~swp loop factor =
+  Pipeline_state.executable_exn (run ?telemetry (Pipeline_state.init machine ~swp loop factor))
 
 (* The tail of the pipeline: callers that did their own transformation
    (tiling, hand-unrolled input) enter after unroll/rle. *)

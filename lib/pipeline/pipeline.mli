@@ -17,8 +17,9 @@
        accounting into an {!Pipeline_state.executable}.}}
 
     Each pass reports wall-time and its own metrics (op-count deltas,
-    II, spills, code bytes) into a {!Telemetry} sink, and compiled
-    results are memoised in a content-addressed {!Compile_cache}. *)
+    II, spills, code bytes) into a {!Telemetry} sink.  Every call
+    compiles afresh: nothing here is memoised.  The labelling sweep
+    memoises its measurements in {!Compile_cache} instead. *)
 
 type pass = {
   pass_name : string;
@@ -33,9 +34,9 @@ val testing_phantom_trips : bool ref
 (** Test-only: when set, the assembler reverts to the historical
     phantom-iteration bug (a zero-trip loop assembled as if it ran once).
     Reintroduced so the translation validator's refutation tests can
-    prove they would catch it.  Never set outside tests; toggling it
-    poisons any shared compile cache, so pair it with uncached
-    compilation ({!run} on a fresh {!Pipeline_state.init}). *)
+    prove they would catch it.  Never set outside tests; a sweep run
+    while it is set would poison the shared {!Compile_cache} with its
+    cycle counts. *)
 
 val pass_names : string list
 (** Names of {!default_passes}, in order. *)
@@ -47,11 +48,9 @@ val run :
     metrics under its name.  Telemetry defaults to {!Telemetry.global}. *)
 
 val compile :
-  ?cache:Compile_cache.t -> ?telemetry:Telemetry.t ->
-  Machine.t -> swp:bool -> Loop.t -> int -> Pipeline_state.executable
-(** [compile machine ~swp loop u] runs {!default_passes} (consulting and
-    filling [cache], default {!Compile_cache.global}) and returns the
-    executable. *)
+  ?telemetry:Telemetry.t -> Machine.t -> swp:bool -> Loop.t -> int -> Pipeline_state.executable
+(** [compile machine ~swp loop u] runs {!default_passes} on a fresh
+    {!Pipeline_state.init} and returns the executable. *)
 
 val of_unrolled :
   ?telemetry:Telemetry.t ->

@@ -57,7 +57,7 @@ type executable = Pipeline_state.executable = {
 let of_unrolled machine ~swp (u : Unroll.t) ~outer_trip ~exit_prob =
   Pipeline.of_unrolled machine ~swp u ~outer_trip ~exit_prob
 
-let compile ?cache machine ~swp loop u = Pipeline.compile ?cache machine ~swp loop u
+let compile machine ~swp loop u = Pipeline.compile machine ~swp loop u
 
 (* Deterministic address scramble for indirect references. *)
 let indirect_index uid iter length =

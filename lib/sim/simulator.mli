@@ -17,21 +17,21 @@
     The instruction stream touches the I-cache every iteration, so code
     expansion from over-unrolling surfaces as front-end stalls once the
     footprint no longer fits; on every re-entry of the nest the caches are
-    partially disturbed, standing in for the rest of the program. *)
+    partially disturbed, standing in for the rest of the program.
+
+    Two exact shortcuts are always on: once an iteration's instruction
+    fetches all hit, later fetches are not probed (fetch skip), and once
+    the post-scrub cache state of an entry repeats, the remaining entries
+    replay the last one's cycles (entry skip).  Cycle totals and
+    {!stats} breakdowns are bit-identical to the frozen naive
+    implementation, [Sim_reference], which the property tests and the
+    fuzzer's [sim-fast-vs-ref] oracle compare against. *)
 
 type state
 (** Mutable architectural state: the three caches. *)
 
 val create_state : Machine.t -> state
 val reset_state : state -> unit
-
-val fast_forward : bool ref
-(** Master switch (default [true]) for the exact fast paths: fetch-hit
-    skipping, steady-state entry skipping and wrap-period iteration
-    fast-forwarding.  Cycle totals, {!stats} breakdowns and downstream
-    labels are bit-identical with the switch on or off (property-tested
-    against [Sim_reference]); only wall-clock time and the telemetry
-    counters differ.  Exists so benchmarks can time both paths. *)
 
 type executable = Pipeline_state.executable = {
   schedules : (Schedule.t * int * int) list;
@@ -55,12 +55,10 @@ val of_unrolled :
     effective trip count (expected iterations of a geometric exit).
     Delegates to the backend passes of {!Pipeline}. *)
 
-val compile :
-  ?cache:Compile_cache.t -> Machine.t -> swp:bool -> Loop.t -> int -> executable
+val compile : Machine.t -> swp:bool -> Loop.t -> int -> executable
 (** [compile machine ~swp loop u] is the full pipeline the paper's modified
     ORC runs per loop: unroll by [u], redundant-load elimination, schedule,
-    allocate.  Delegates to {!Pipeline.compile}: results are memoised in
-    [cache] (default {!Compile_cache.global}) keyed by loop content. *)
+    allocate.  Delegates to {!Pipeline.compile}. *)
 
 val run : ?max_sim_iters:int -> state -> executable -> int
 (** Total cycles to execute the loop nest over all its entries.  Per loop

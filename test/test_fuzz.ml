@@ -24,9 +24,7 @@ let test_remainder_edges () =
                   (Kernels.daxpy ~name:(Printf.sprintf "re%d_%d" factor trip) ~trip:(max trip 1))
                   trip
               in
-              let exe =
-                Pipeline.compile ~cache:(Compile_cache.create ()) machine ~swp:false loop factor
-              in
+              let exe = Pipeline.compile machine ~swp:false loop factor in
               let st0 = Interp.fresh_state () in
               ignore (Interp.run st0 loop ~trips:trip ~phase:0);
               let st1 = Interp.fresh_state () in

@@ -1,6 +1,6 @@
 (* Tests for the pass-pipeline compiler core: the pass list preserves loop
-   semantics under the reference interpreter, the content-addressed compile
-   cache returns bit-identical results warm vs cold, and the parallel
+   semantics under the reference interpreter, the compile cache's cycles
+   store returns bit-identical sweeps warm vs cold, and the parallel
    labelling sweep matches the sequential one exactly. *)
 
 let machine = Machine.itanium2
@@ -30,9 +30,7 @@ let prop_pipeline_semantics =
     ~name:"pass pipeline observationally equivalent at factors 1..8"
     (QCheck.make gen)
     (fun (loop, f, swp) ->
-      let exe =
-        Pipeline.compile ~cache:(Compile_cache.create ()) machine ~swp loop f
-      in
+      let exe = Pipeline.compile machine ~swp loop f in
       let st_orig = Interp.fresh_state () in
       ignore (Interp.run st_orig loop ~trips:loop.Loop.trip_actual ~phase:0);
       let st_new = Interp.fresh_state () in
@@ -47,8 +45,8 @@ let test_pipeline_matches_simulator_compile () =
       let loop = maker ~name ~trip:96 in
       List.iter
         (fun u ->
-          let a = Pipeline.compile ~cache:(Compile_cache.create ()) machine ~swp:false loop u in
-          let b = Simulator.compile ~cache:(Compile_cache.create ()) machine ~swp:false loop u in
+          let a = Pipeline.compile machine ~swp:false loop u in
+          let b = Simulator.compile machine ~swp:false loop u in
           if a <> b then Alcotest.failf "%s u=%d: pipeline and simulator differ" name u)
         [ 1; 3; 8 ])
     Kernels.all
@@ -58,7 +56,7 @@ let test_pipeline_matches_simulator_compile () =
 let test_telemetry_records_passes () =
   let sink = Telemetry.create () in
   let loop = Kernels.daxpy ~name:"t_daxpy" ~trip:128 in
-  ignore (Pipeline.compile ~cache:(Compile_cache.create ()) ~telemetry:sink machine ~swp:false loop 4);
+  ignore (Pipeline.compile ~telemetry:sink machine ~swp:false loop 4);
   List.iter
     (fun pass ->
       Alcotest.(check int) (pass ^ " ran once") 1 (Telemetry.calls sink ~pass))
@@ -118,12 +116,20 @@ let test_cache_cycles_keyed_by_window () =
   Alcotest.(check (array int)) "same window is cached" fine fine';
   Alcotest.(check bool) "windows do not collide" true (coarse <> fine)
 
-let test_cache_capacity_zero_disables () =
-  let cache = Compile_cache.create ~exe_capacity:0 ~cycles_capacity:0 () in
-  let loop = Kernels.daxpy ~name:"c_off" ~trip:64 in
-  ignore (Pipeline.compile ~cache machine ~swp:false loop 2);
-  ignore (Pipeline.compile ~cache machine ~swp:false loop 2);
-  Alcotest.(check int) "never hits" 0 (Compile_cache.hits cache)
+let test_renamed_loop_served_from_cycles () =
+  (* The only hits a labelling sweep makes: a loop whose content repeats
+     under another name.  Its sweep must be answered entirely from the
+     cycles store, one hit per factor, with the first loop's counts. *)
+  let cache = Compile_cache.create () in
+  let sweep loop =
+    Measure.sweep ~noise:0.0 ~runs:1 ~max_sim_iters:120 ~cache ~rng:(Rng.create 3) ~machine
+      ~swp:false loop
+  in
+  let first = sweep (Kernels.stencil5 ~name:"r_one" ~trip:300) in
+  let hits0 = Compile_cache.hits cache in
+  let second = sweep (Kernels.stencil5 ~name:"r_two" ~trip:300) in
+  Alcotest.(check int) "one hit per factor" Unroll.max_factor (Compile_cache.hits cache - hits0);
+  Alcotest.(check (array int)) "same counts" first second
 
 (* --- parallel labelling ------------------------------------------------ *)
 
@@ -168,7 +174,7 @@ let suite =
     ("warm cache equals cold sweep", `Quick, test_cache_warm_equals_cold);
     ("cache key ignores loop name", `Quick, test_cache_key_ignores_name);
     ("cycles cache keyed by window", `Quick, test_cache_cycles_keyed_by_window);
-    ("capacity 0 disables the cache", `Quick, test_cache_capacity_zero_disables);
+    ("renamed loop served from cycles store", `Quick, test_renamed_loop_served_from_cycles);
     ("jobs=4 labels identical to jobs=1", `Slow, test_parallel_labels_identical);
     ("jobs=4 LOOCV identical to jobs=1", `Quick, test_parallel_loocv_identical);
   ]

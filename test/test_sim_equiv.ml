@@ -1,6 +1,6 @@
-(* The fast-path contract: [Simulator] with its steady-state fast-forwards
-   (fetch skip, entry skip, wrap-period replay), memoised dependence graphs
-   and array kernels must be bit-identical — total cycles AND the six-way
+(* The fast-path contract: [Simulator] with its steady-state shortcuts
+   (fetch skip, entry skip), shared dependence graphs and array kernels
+   must be bit-identical — total cycles AND the six-way
    stats breakdown, on warm states as well as cold — to [Sim_reference],
    the frozen pre-optimisation implementation.  See DESIGN.md §9 for the
    exactness arguments these properties back. *)
@@ -45,8 +45,9 @@ let gen =
     let* iters = oneofl [ 40; 75; 200 ] in
     let* small_arrays = bool in
     let l = Fuzz.Gen.synth_loop ~prefix:"qe" seed in
-    (* Small arrays wrap within the simulated window, which is what engages
-       the wrap-period fast-forward. *)
+    (* Small arrays wrap within the simulated window, so cursors wrap and
+       lines are re-touched every few iterations: address paths a suite of
+       large arrays seldom reaches, checked against the reference too. *)
     let l = if small_arrays then Fuzz.Gen.with_array_lengths l (3 + (seed mod 13)) else l in
     let l = { l with Loop.trip_actual = 1 + (seed mod 900) } in
     return (l, f, swp, iters))
@@ -56,30 +57,16 @@ let prop_fast_equals_reference =
     ~name:"fast-forwarded Simulator bit-identical to Sim_reference"
     (QCheck.make gen)
     (fun (loop, f, swp, iters) ->
-      let exe = Simulator.compile ~cache:(Compile_cache.create ()) machine ~swp loop f in
+      let exe = Simulator.compile machine ~swp loop f in
       naive_pair exe iters = fast_pair exe iters)
-
-let prop_fast_forward_flag_is_pure =
-  QCheck.Test.make ~count:120
-    ~name:"fast_forward off takes the naive route to the same bits"
-    (QCheck.make gen)
-    (fun (loop, f, swp, iters) ->
-      let exe = Simulator.compile ~cache:(Compile_cache.create ()) machine ~swp loop f in
-      let on = fast_pair exe iters in
-      Simulator.fast_forward := false;
-      let off =
-        Fun.protect
-          ~finally:(fun () -> Simulator.fast_forward := true)
-          (fun () -> fast_pair exe iters)
-      in
-      on = off)
 
 (* --- end-to-end labels -------------------------------------------------- *)
 
 let test_labels_unchanged_by_fast_paths () =
   (* The sweep that labels the FAST suite — noise, cycle filters, argmin —
-     must produce the same cycles and therefore the same best factor with
-     the fast paths on and off.  Fresh compile caches per run so nothing is
+     must produce the same cycles and therefore the same best factor as the
+     same sweep driven by [Sim_reference]: the same compile, warm-up/measure
+     pair and noise stream.  A fresh compile cache per sweep so nothing is
      served from the cycles memo. *)
   let benchmarks =
     Suite.full ~scale:0.04 ~seed:Config.fast.Config.seed
@@ -93,22 +80,26 @@ let test_labels_unchanged_by_fast_paths () =
     Measure.sweep ~noise:0.015 ~runs:5 ~max_sim_iters:150
       ~cache:(Compile_cache.create ()) ~rng ~machine ~swp:false loop
   in
+  let reference_sweep loop =
+    let rng = Rng.create 2005 in
+    Array.init Unroll.max_factor (fun i ->
+        let exe = Sim_reference.compile machine ~swp:false loop (i + 1) in
+        let st = Sim_reference.create_state machine in
+        ignore (Sim_reference.run ~max_sim_iters:150 st exe);
+        let cycles = Sim_reference.run ~max_sim_iters:150 st exe in
+        Measure.noisy_median ~rng ~noise:0.015 ~runs:5 (fun () -> cycles))
+  in
   List.iter
     (fun loop ->
-      let on = sweep loop in
-      Simulator.fast_forward := false;
-      let off =
-        Fun.protect
-          ~finally:(fun () -> Simulator.fast_forward := true)
-          (fun () -> sweep loop)
-      in
-      Alcotest.(check (array int)) (loop.Loop.name ^ " cycles") off on;
+      let fast = sweep loop in
+      let reference = reference_sweep loop in
+      Alcotest.(check (array int)) (loop.Loop.name ^ " cycles") reference fast;
       let argmin a =
         let best = ref 0 in
         Array.iteri (fun i v -> if v < a.(!best) then best := i) a;
         !best + 1
       in
-      Alcotest.(check int) (loop.Loop.name ^ " best factor") (argmin off) (argmin on))
+      Alcotest.(check int) (loop.Loop.name ^ " best factor") (argmin reference) (argmin fast))
     loops
 
 (* --- RecMII upper bound ------------------------------------------------- *)
@@ -157,7 +148,6 @@ let test_rec_mii_long_recurrence () =
 let suite =
   [
     QCheck_alcotest.to_alcotest prop_fast_equals_reference;
-    QCheck_alcotest.to_alcotest prop_fast_forward_flag_is_pure;
     ("labels unchanged by fast paths", `Slow, test_labels_unchanged_by_fast_paths);
     ("RecMII within graph-derived bound", `Quick, test_rec_mii_bracketed_by_graph_bound);
     ("RecMII of a long carried recurrence", `Quick, test_rec_mii_long_recurrence);
